@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -226,3 +227,61 @@ def test_unknown_flag_exits_nonzero():
     with pytest.raises(SystemExit) as exc:
         main(["geom", "info", "--bogus"])
     assert exc.value.code != 0
+
+
+SIM_STDOUT = [
+    (
+        ["sim", "random", "--epsilon", "5", "--weight", "180", "--rounds", "6", "--seed", "777"],
+        '{"epsilon": 5, "model": "random", "weight": 180, "rounds": 6, "seed": 777, '
+        '"failures_pct": 33.333333333333336, "avg_iterations": 3.75, "miscorrections": 0}\n',
+    ),
+    (
+        [
+            "sim", "burst", "--epsilon", "5", "--weight", "135",
+            "--rounds", "8", "--seed", "42", "--format", "text",
+        ],
+        "epsilon    model weight rounds    fail%  avg_iters miscor\n"
+        "      5    burst    135      8     75.0       3.50      0\n",
+    ),
+    (
+        [
+            "sim", "interleaved", "--epsilon", "5", "--weight", "270",
+            "--rounds", "4", "--seed", "9", "--k", "2",
+        ],
+        '{"epsilon": 5, "model": "burst", "weight": 270, "rounds": 4, "seed": 9, '
+        '"failures_pct": 25.0, "avg_iterations": 3.3333333333333335, "miscorrections": 0}\n',
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, expected", SIM_STDOUT)
+def test_sim_stdout_pinned(capsys, argv, expected):
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_code_decode_erasures_stdout_pinned(tmp_path, capsys):
+    # Three words on the zero codeword: light errors, errors past the
+    # decoder's cliff, and light errors again, with a blank line skipped.
+    rng = np.random.default_rng(11)
+    lines = []
+    for weight in (40, 200, 60):
+        word = np.zeros(1953, dtype=np.uint8)
+        pos = rng.choice(1953, size=weight, replace=False)
+        word[pos] = rng.integers(1, 256, size=weight, dtype=np.uint8)
+        lines.append(expcode.word_to_hex(word))
+    rx = tmp_path / "rx.hex"
+    rx.write_text(lines[0] + "\n\n" + lines[1] + "\n" + lines[2] + "\n")
+    er = tmp_path / "erasures.txt"
+    er.write_text("".join(f"{lab}\n" for lab in (5, 64, 700, 1900)) + "\n")
+    out_file = tmp_path / "out.hex"
+    argv = ["code", "decode", "--epsilon", "5", "--in", str(rx), "--erasures", str(er)]
+    assert main(argv + ["--out", str(out_file)]) == 0
+    out = capsys.readouterr().out
+    assert [json.loads(line)["success"] for line in out.splitlines()] == [True, False, True]
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "42f2718a9f17f458fc0b8104cf6513a366a158433ab96f4716fae0f3c6a7a1de"
+    )
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == (
+        "0f72ca658e2d1bff3088ac9d7177c12c0a95861bae3813841955def9dc288382"
+    )

@@ -1,0 +1,145 @@
+"""Golden digests of the decoder, the Monte Carlo drivers and the parity matrix.
+
+The digests were recorded from the implementation before the Monte Carlo
+drivers were merged into one loop and the erasure bookkeeping moved to a
+precomputed index. Any change to them means the outputs for fixed seeds
+changed, which those refactors must not do.
+"""
+
+import hashlib
+import json
+from dataclasses import asdict
+
+import numpy as np
+import pytest
+
+from pgcodes.expcode import CodeSpec, build_parity, iterative_decode
+from pgcodes.prng import substream
+from pgcodes.simlab import TrialConfig, run_burst, run_interleaved, run_random
+
+
+def _digest(payload) -> str:
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+def _report_payload(report) -> dict:
+    return {
+        "success": report.success,
+        "iterations_used": report.iterations_used,
+        "per_iteration": [asdict(r) for r in report.per_iteration],
+        "final_word": report.final_word.tobytes().hex(),
+    }
+
+
+@pytest.fixture(scope="module")
+def specs(field8, spec5, spec7):
+    out = {5: spec5, 7: spec7}
+    for eps in (3, 9, 11, 13, 15):
+        out[eps] = CodeSpec(eps, field=field8)
+    return out
+
+
+# (driver, k, epsilon, weight, rounds, seed, digest); k is the interleaving
+# depth of run_interleaved and unused by the other two drivers.
+SUMMARY_DIGESTS = [
+    ("random", 0, 5, 180, 12, 777, "dc6734990055fc29cf1dfc431962b19a7742e77d58b1ae18cb68edd2067cbc1a"),
+    ("random", 0, 7, 250, 6, 3, "c51fa33c3f3ba0d64b0ce27b309859b85c58c951ed76473420a1bbca60effefa"),
+    ("burst", 0, 5, 135, 20, 42, "525394d540327d4715346f40fcd7aaa9686ffd4d35b6d687e360bc1fadb5f099"),
+    ("burst", 0, 7, 200, 8, 5, "15a0c9d2da43094711c60fc9cb5653a575c847ca824063383ece754b5b8d75e0"),
+    ("interleaved", 1, 5, 135, 10, 42, "63c9bb8fd388302485ef49dddb25e776833ee8ec13c939db73c1aded2868f9d4"),
+    ("interleaved", 2, 5, 270, 8, 9, "cdfce8986b34ea9291dda8e7fe9a83c5fe9871969b98a05ac2870890456df303"),
+    ("interleaved", 3, 7, 600, 8, 9, "e018ac053a9c23d4b2d0869e3ecad4c1dc569d83bffe7f8438281703ed22656f"),
+]
+
+
+@pytest.mark.parametrize("driver, k, epsilon, weight, rounds, seed, expected", SUMMARY_DIGESTS)
+def test_trial_summary_digest(specs, driver, k, epsilon, weight, rounds, seed, expected):
+    model = "random" if driver == "random" else "burst"
+    cfg = TrialConfig(epsilon, model, weight, rounds=rounds, seed=seed)
+    if driver == "random":
+        summary = run_random(cfg, specs[epsilon])
+    elif driver == "burst":
+        summary = run_burst(cfg, specs[epsilon])
+    else:
+        summary = run_interleaved(k, cfg, specs[epsilon])
+    assert _digest(asdict(summary)) == expected, asdict(summary)
+
+
+def _decode_cases(spec, seed: int, with_erasures: bool) -> list[dict]:
+    """Decode reports of seeded error (and erasure) patterns on the zero word.
+
+    The weights run from easy to past the decoder's cliff, so the cases mix
+    one-pass successes, multi-iteration successes and failures. Half of the
+    erased symbols keep their correct value 0, and the last case erases
+    2t + 1 edges of point vertex 1, more than its component can absorb.
+    """
+    n, q = spec.n_symbols, spec.field.q
+    t = spec.rs.t
+    n_side = spec.graph.n_side
+    out = []
+    for i, weight in enumerate((20 * t, 60 * t, 85 * t, 100 * t)):
+        rng = substream(seed, i)
+        n_erased = 8 * t if with_erasures else 0
+        pos = rng.sample(n, weight + n_erased)
+        word = np.zeros(n, dtype=np.uint8)
+        for p in pos[:weight]:
+            word[p] = rng.nonzero_symbol(q)
+        for j, p in enumerate(pos[weight:]):
+            word[p] = rng.below(q) if j % 2 else 0
+        labels = [p + 1 for p in pos[weight:]]
+        if with_erasures and i == 3:
+            labels += [1 + n_side * k for k in range(2 * t + 1)]
+        out.append(_report_payload(iterative_decode(spec, word, erasures=labels)))
+    return out
+
+
+DECODE_DIGESTS = {
+    3: (
+        "981485e0080c6ba9a3e53b5f4b58250699f680e1627b4742595c18f6bd8fbabb",
+        "bf978494e09c8b006a42ee72e06fbdafecf9c7068d69c51cdc85a73ffa32b37e",
+    ),
+    5: (
+        "4340b7561c2106a753481cb7cd4dfbfc6b3c3e802ed2ee818b9701e4f4ebb5e1",
+        "3f33969fc55ed93f5fe5c59c0615237ce3c8461a814d4a904fbc0fdc19551912",
+    ),
+    7: (
+        "b76ded931e4e8a7f9a7b943dd553a5d630b76767f108ff44c4474ca81102bb3d",
+        "e6d52796c890b0ef0cf64547143efe65175428597aa1cef8517abf28b90955ab",
+    ),
+    9: (
+        "5c78006f81c9c6cf9bda49921daf4ac5077cf0816e16ef1e905ef45d7ee336bd",
+        "975f3511b3c2c7003ef4fabd3bc7ec95c68cc0a50bc6fbc9aac17984e99c227b",
+    ),
+    11: (
+        "6f13243340d0c28a0f7e02f7a420d670fa5bc88b9814f6918e75cafe7d7cc7c6",
+        "3bba8fa45ea0c2f0b9174220b3f7ab04814fc2c323cfcac4a2b788680857aa92",
+    ),
+    13: (
+        "d9a8ac657cf498c21dabff902b1773a8a4d934e2dafd5662b8f6ca5174a6e2ff",
+        "0e898fb1c3c13e8fa7d04de18cf6abccef03a64aeea1a026aeac5691553dc331",
+    ),
+    15: (
+        "d9b5eba5f17ea717b6e3a8580573d96ecd57a6c92f74245207253b77a40e4f5c",
+        "f840135f115f537668a915e3fd9a22fd71b5cbe4467315f2eb61198ab0908e46",
+    ),
+}
+
+
+@pytest.mark.parametrize("epsilon", sorted(DECODE_DIGESTS))
+def test_decode_digest(specs, epsilon):
+    plain, erased = DECODE_DIGESTS[epsilon]
+    assert _digest(_decode_cases(specs[epsilon], 100 + epsilon, False)) == plain
+    assert _digest(_decode_cases(specs[epsilon], 200 + epsilon, True)) == erased
+
+
+@pytest.mark.parametrize(
+    "epsilon, expected",
+    [
+        (5, "4a97a33b6e9d865050f38529d05c1b91af219657ba8fb74208d4eb2fd653ed85"),
+        (7, "8bc8dace5780edea783eec6948f4260a7092a7321801885638e2b6ac689396ce"),
+    ],
+)
+def test_parity_digest(specs, epsilon, expected):
+    H = build_parity(specs[epsilon])
+    got = hashlib.sha256(repr(H.shape).encode() + H.tobytes()).hexdigest()
+    assert got == expected
