@@ -12,7 +12,6 @@ from pgcodes.projgeom import (
     Flat,
     ProjectiveSpace,
     gaussian_coefficient,
-    incident,
     num_points,
     span,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "Flat",
     "ProjectiveSpace",
     "gaussian_coefficient",
-    "incident",
     "num_points",
     "span",
     "TannerGraph",

@@ -16,6 +16,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from pgcodes.projgeom import mask_to_ids
 from pgcodes.tanner import TannerGraph
 
 DEFAULT_SEARCH_BUDGET = 50_000_000
@@ -380,7 +381,7 @@ class _SearchState:
     def _select_hyperplanes(self, chosen, buckets):
         """Pick p hyperplanes compatible with the full point set, or None."""
         q = self.q
-        picks = _mask_ids(buckets[0])
+        picks = mask_to_ids(buckets[0])
         if len(picks) >= self.p:
             return picks[: self.p]
         if q == 0:
@@ -403,7 +404,7 @@ class _SearchState:
         alive_mask = 0
         for b in buckets:
             alive_mask |= b
-        alive = _mask_ids(alive_mask)
+        alive = mask_to_ids(alive_mask)
         allowance = {pt: q for pt in chosen}
 
         def pick(idx, acc):
@@ -431,12 +432,3 @@ class _SearchState:
             return None
 
         return pick(0, [])
-
-
-def _mask_ids(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length())
-        mask ^= low
-    return out

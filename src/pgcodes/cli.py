@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from pgcodes import bounds as bounds_mod
@@ -27,6 +28,17 @@ from pgcodes.tanner import build_graph
 
 def _default_seed() -> int:
     return int(os.environ.get("PGCODES_SEED", "1"))
+
+
+def _read_lines(path: str) -> list[str]:
+    """The non-blank lines of a text file, stripped."""
+    with open(path, encoding="ascii") as fh:
+        return [line.strip() for line in fh if line.strip()]
+
+
+def _read_erasures(path: str | None) -> list[int]:
+    """Erasure labels or positions from a file with one integer per line."""
+    return [int(line) for line in _read_lines(path)] if path else []
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -191,51 +203,34 @@ def _cmd_code(args: argparse.Namespace) -> int:
         return 0
     if args.subcommand == "encode":
         k = spec.k_overall
-        with open(args.infile, encoding="ascii") as fh, open(
-            args.out, "w", encoding="ascii"
-        ) as out:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
+        lines = _read_lines(args.infile)
+        with open(args.out, "w", encoding="ascii") as out:
+            for line in lines:
                 msg = expcode.word_from_hex(line, k)
                 out.write(expcode.word_to_hex(expcode.encode(spec, msg)) + "\n")
         print(f"encoded words written to {args.out}")
         return 0
-    erasures: list[int] = []
-    if args.erasures:
-        with open(args.erasures, encoding="ascii") as fh:
-            erasures = [int(line) for line in fh if line.strip()]
+    erasures = _read_erasures(args.erasures)
+    lines = _read_lines(args.infile)
     out_fh = open(args.out, "w", encoding="ascii") if args.out else None
     try:
-        with open(args.infile, encoding="ascii") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                word = expcode.word_from_hex(line, spec.n_symbols)
-                report = expcode.iterative_decode(
-                    spec, word, erasures=erasures, max_iterations=args.max_iterations
+        for line in lines:
+            word = expcode.word_from_hex(line, spec.n_symbols)
+            report = expcode.iterative_decode(
+                spec, word, erasures=erasures, max_iterations=args.max_iterations
+            )
+            print(
+                json.dumps(
+                    {
+                        "success": report.success,
+                        "iterations_used": report.iterations_used,
+                        "per_iteration": [asdict(r) for r in report.per_iteration],
+                        "final_word": expcode.word_to_hex(report.final_word),
+                    }
                 )
-                print(
-                    json.dumps(
-                        {
-                            "success": report.success,
-                            "iterations_used": report.iterations_used,
-                            "per_iteration": [
-                                {
-                                    "side": r.side,
-                                    "component_failures": r.component_failures,
-                                    "symbols_changed": r.symbols_changed,
-                                }
-                                for r in report.per_iteration
-                            ],
-                            "final_word": expcode.word_to_hex(report.final_word),
-                        }
-                    )
-                )
-                if out_fh:
-                    out_fh.write(expcode.word_to_hex(report.final_word) + "\n")
+            )
+            if out_fh:
+                out_fh.write(expcode.word_to_hex(report.final_word) + "\n")
     finally:
         if out_fh:
             out_fh.close()
@@ -247,38 +242,27 @@ def _cmd_rs(args: argparse.Namespace) -> int:
 
     params = RsParams(n=args.n, epsilon=args.epsilon)
     if args.subcommand == "encode":
-        with open(args.infile, encoding="ascii") as fh, open(
-            args.out, "w", encoding="ascii"
-        ) as out:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
+        lines = _read_lines(args.infile)
+        with open(args.out, "w", encoding="ascii") as out:
+            for line in lines:
                 msg = expcode.word_from_hex(line, params.k)
                 out.write(expcode.word_to_hex(rs_encode(params, msg.tolist())) + "\n")
         print(f"encoded words written to {args.out}")
         return 0
-    erasures: list[int] = []
-    if args.erasures:
-        with open(args.erasures, encoding="ascii") as fh:
-            erasures = [int(line) for line in fh if line.strip()]
-    with open(args.infile, encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            word = expcode.word_from_hex(line, params.n)
-            outcome = rs_decode(params, word.tolist(), erasures=erasures)
-            print(
-                json.dumps(
-                    {
-                        "status": outcome.status.value,
-                        "errors_corrected": outcome.errors_corrected,
-                        "erasures_used": outcome.erasures_used,
-                        "word": expcode.word_to_hex(outcome.word),
-                    }
-                )
+    erasures = _read_erasures(args.erasures)
+    for line in _read_lines(args.infile):
+        word = expcode.word_from_hex(line, params.n)
+        outcome = rs_decode(params, word.tolist(), erasures=erasures)
+        print(
+            json.dumps(
+                {
+                    "status": outcome.status.value,
+                    "errors_corrected": outcome.errors_corrected,
+                    "erasures_used": outcome.erasures_used,
+                    "word": expcode.word_to_hex(outcome.word),
+                }
             )
+        )
     return 0
 
 

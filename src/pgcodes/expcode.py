@@ -134,14 +134,10 @@ def build_parity(spec: CodeSpec) -> np.ndarray:
     functionals, so word * row^T = 0 iff syndrome S_i of that component is 0.
     """
     graph = spec.graph
-    f = spec.field
     two_t = spec.rs.two_t
-    n_side, degree = graph.n_side, graph.degree
+    n_side = graph.n_side
     H = np.zeros((2 * n_side * two_t, spec.n_symbols), dtype=np.uint8)
-    powers = np.array(
-        [[f.exp_alpha(i * j) for j in range(degree)] for i in range(1, two_t + 1)],
-        dtype=np.uint8,
-    )
+    powers = spec.rs._power_matrix
     for v in range(n_side):
         H[v * two_t : (v + 1) * two_t, graph.point_edge_idx[v]] = powers
     base = n_side * two_t
@@ -205,11 +201,23 @@ def encode(
 ) -> np.ndarray:
     """Codeword = message * G over GF(256), symbols indexed by label - 1."""
     G = spec.generator_matrix if generator is None else generator
-    msg = np.asarray(message, dtype=np.uint8)
+    msg = _symbols(spec, message, "message")
     if msg.ndim != 1 or msg.shape[0] != G.shape[0]:
         raise ValueError(f"message must have {G.shape[0]} symbols, got {msg.shape}")
     mt = spec.field.mul_table
     return np.bitwise_xor.reduce(mt[msg[:, None], G], axis=0)
+
+
+def _symbols(spec: CodeSpec, values: Sequence[int] | np.ndarray, what: str) -> np.ndarray:
+    """values as a new uint8 array; ValueError unless every entry is an integer in [0, q)."""
+    arr = np.asarray(values)
+    if arr.size and (
+        not np.issubdtype(arr.dtype, np.integer)
+        or arr.min() < 0
+        or arr.max() >= spec.field.q
+    ):
+        raise ValueError(f"{what} symbols must be integers in [0, {spec.field.q})")
+    return arr.astype(np.uint8)
 
 
 def side_words(spec: CodeSpec, word: np.ndarray, side: str) -> np.ndarray:
@@ -253,7 +261,7 @@ def iterative_decode(
     """
     graph = spec.graph
     rs = spec.rs
-    word = np.array(received, dtype=np.uint8).reshape(-1).copy()
+    word = _symbols(spec, received, "received word").reshape(-1)
     if word.shape[0] != spec.n_symbols:
         raise ValueError(f"received word must have {spec.n_symbols} symbols")
     pending = set()
@@ -271,19 +279,18 @@ def iterative_decode(
 
     for iteration in range(1, limit + 1):
         for side in (POINT_SIDE, HYPERPLANE_SIDE):
-            idx = graph.point_edge_idx if side == POINT_SIDE else graph.hpl_edge_idx
+            if side == POINT_SIDE:
+                idx, slot = graph.point_edge_idx, graph.point_slot
+            else:
+                idx, slot = graph.hpl_edge_idx, graph.hpl_slot
             words = word[idx]
             synd = rs.batch_syndromes(words)
             dirty = np.nonzero(synd.any(axis=1))[0]
+            # 0-based vertex -> 0-based positions of its pending erasures.
             erased_local: dict[int, list[int]] = {}
-            if pending:
-                for label in pending:
-                    v, k = graph.position_of(label)
-                    if side == HYPERPLANE_SIDE:
-                        p, h = graph.edge_endpoints(label)
-                        v = h
-                        k = int(np.nonzero(graph.hpl_edge_idx[h - 1] == label - 1)[0][0]) + 1
-                    erased_local.setdefault(v - 1, []).append(k - 1)
+            for label in pending:
+                v, k = divmod(int(slot[label - 1]), graph.degree)
+                erased_local.setdefault(v, []).append(k)
             failures = 0
             changed = 0
             todo = sorted(set(dirty.tolist()) | set(erased_local))

@@ -117,12 +117,6 @@ class GF:
         """alpha**i for any integer i."""
         return self._exp[i % self.order]
 
-    def log_alpha(self, a: int) -> int:
-        """Discrete log base alpha; a must be nonzero."""
-        if a == 0:
-            raise ValueError("zero has no discrete logarithm")
-        return self._log[a]
-
     @property
     def mul_table(self) -> np.ndarray:
         """Dense (q, q) product lookup table for vectorized row operations.
@@ -183,24 +177,3 @@ class GF:
         for c in reversed(p):
             y = self.mul(y, x) ^ c
         return y
-
-    def poly_divmod(
-        self, p: Sequence[int], d: Sequence[int]
-    ) -> tuple[list[int], list[int]]:
-        """Quotient and remainder with deg(remainder) < deg(divisor)."""
-        d = self.poly_norm(d)
-        if not d:
-            raise ZeroDivisionError("polynomial division by zero polynomial")
-        r = self.poly_norm(p)
-        dn = len(d) - 1
-        lead_inv = self.inv(d[-1])
-        quot = [0] * max(0, len(r) - dn)
-        while r and len(r) - 1 >= dn:
-            shift = len(r) - 1 - dn
-            c = self.mul(r[-1], lead_inv)
-            quot[shift] = c
-            for i, dc in enumerate(d):
-                if dc:
-                    r[shift + i] ^= self.mul(dc, c)
-            r = self.poly_norm(r)
-        return quot, r

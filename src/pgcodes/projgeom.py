@@ -12,9 +12,8 @@ implemented for s = 2 only, which is all the code construction uses.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 def num_points(d: int, s: int = 2) -> int:
@@ -51,9 +50,14 @@ def containing_count(d: int, l: int, m: int, s: int = 2) -> int:
     return gaussian_coefficient(d - l - 1, m - l - 1, s)
 
 
-def incident(p: int, h: int) -> bool:
-    """True iff point vector p lies on the hyperplane with normal vector h."""
-    return (p & h).bit_count() % 2 == 0
+def mask_to_ids(mask: int) -> list[int]:
+    """Ids whose bit (id - 1) is set in the mask, ascending."""
+    ids = []
+    while mask:
+        low = mask & -mask
+        ids.append(low.bit_length())
+        mask ^= low
+    return ids
 
 
 @dataclass(frozen=True)
@@ -154,7 +158,7 @@ class ProjectiveSpace:
         m = -1
         for b in f.basis:
             m &= self.incidence_masks[b]
-        return _mask_to_ids(m & ((1 << self.n_points) - 1))
+        return mask_to_ids(m & ((1 << self.n_points) - 1))
 
     def planes(self) -> tuple[Flat, ...]:
         """All projective-dimension-2 flats, sorted by point tuple.
@@ -178,47 +182,8 @@ class ProjectiveSpace:
             self._planes = tuple(seen[k] for k in sorted(seen))
         return self._planes
 
-    def incidence_pairs(self) -> Iterator[tuple[int, int]]:
-        """Yield every incident (point, hyperplane) pair, sorted."""
-        for p in self.points:
-            m = self.incidence_masks[p]
-            while m:
-                low = m & -m
-                yield p, low.bit_length()
-                m ^= low
-
-    def format_incidence(self) -> str:
-        """Incidence structure as a text edge list, one 'point hyperplane' per line."""
-        return "\n".join(f"{p} {h}" for p, h in self.incidence_pairs()) + "\n"
-
     def _check_flat(self, f: Flat) -> None:
         if not all(1 <= p <= self.n_points for p in f.points):
             raise ValueError("flat has points outside this space")
         if f.dimension > self.d:
             raise ValueError("flat dimension exceeds the ambient space")
-
-
-def enumerate_planes(d: int) -> tuple[Flat, ...]:
-    """All planes of PG(d, GF(2)); count equals gaussian_coefficient(d, 2, 2)."""
-    if d < 2:
-        raise ValueError(f"planes need ambient dimension >= 2, got {d}")
-    return ProjectiveSpace(d).planes()
-
-
-def lines_in(flat: Flat) -> list[tuple[int, int, int]]:
-    """All 3-point lines contained in a flat, as sorted point triples."""
-    out = set()
-    for a, b in itertools.combinations(flat.points, 2):
-        c = a ^ b
-        if c in flat.points:
-            out.add(tuple(sorted((a, b, c))))
-    return sorted(out)
-
-
-def _mask_to_ids(mask: int) -> list[int]:
-    ids = []
-    while mask:
-        low = mask & -mask
-        ids.append(low.bit_length())
-        mask ^= low
-    return ids

@@ -15,12 +15,13 @@ order and rounds could be distributed across workers without changing them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from typing import Callable, Iterable
 
 import numpy as np
 
 from pgcodes.expcode import CodeSpec, encode, iterative_decode
-from pgcodes.prng import substream
+from pgcodes.prng import SplitMix64, substream
 
 RANDOM_MODEL = "random"
 BURST_MODEL = "burst"
@@ -66,18 +67,7 @@ class TrialSummary:
     miscorrections: int
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "epsilon": self.epsilon,
-                "model": self.model,
-                "weight": self.weight,
-                "rounds": self.rounds,
-                "seed": self.seed,
-                "failures_pct": self.failures_pct,
-                "avg_iterations": self.avg_iterations,
-                "miscorrections": self.miscorrections,
-            }
-        )
+        return json.dumps(asdict(self))
 
     def text_row(self) -> str:
         avg = "-" if self.avg_iterations is None else f"{self.avg_iterations:.2f}"
@@ -94,7 +84,9 @@ class TrialSummary:
         )
 
 
-def _spec_for(cfg: TrialConfig, spec: CodeSpec | None) -> CodeSpec:
+def _spec_for(cfg: TrialConfig, spec: CodeSpec | None, model: str) -> CodeSpec:
+    if cfg.error_model != model:
+        raise ValueError(f"this driver needs a {model}-model config, got {cfg.error_model!r}")
     if spec is None:
         return CodeSpec(cfg.epsilon, max_iterations=cfg.max_iterations)
     if spec.epsilon != cfg.epsilon:
@@ -118,59 +110,57 @@ def _summarize(cfg: TrialConfig, failures: int, iters: list[int], miscor: int) -
     )
 
 
-def run_random(cfg: TrialConfig, spec: CodeSpec | None = None) -> TrialSummary:
-    """Corrupt `weight` distinct uniformly chosen symbols per round."""
-    if cfg.error_model != RANDOM_MODEL:
-        raise ValueError("run_random needs a random-model config")
-    spec = _spec_for(cfg, spec)
+def _run(
+    cfg: TrialConfig,
+    spec: CodeSpec,
+    k: int,
+    positions: Callable[[SplitMix64, int], Iterable[int]],
+) -> TrialSummary:
+    """The round loop shared by every error model.
+
+    Each round corrupts the stream symbols that positions(rng, k * n) names,
+    drawing one nonzero value per symbol in stream order after the positions,
+    then decodes the k symbol-interleaved codewords independently. A round
+    fails iff any codeword fails; its iteration count is the largest over
+    its codewords.
+    """
     n = spec.n_symbols
-    if cfg.weight > n:
-        raise ValueError(f"weight exceeds block length {n}")
+    if cfg.weight > k * n:
+        raise ValueError(f"weight exceeds the {k * n} symbols of the stream")
     q = spec.field.q
     failures = 0
     miscor = 0
     iters: list[int] = []
     for rnd in range(cfg.rounds):
         rng = substream(cfg.seed, rnd)
-        word = np.zeros(n, dtype=np.uint8)
-        for pos in rng.sample(n, cfg.weight):
-            word[pos] = rng.nonzero_symbol(q)
-        report = iterative_decode(spec, word, max_iterations=cfg.max_iterations)
-        if report.success:
-            iters.append(report.iterations_used)
-            if report.final_word.any():
-                miscor += 1
+        stream = np.zeros(k * n, dtype=np.uint8)
+        for s in positions(rng, k * n):
+            stream[s] = rng.nonzero_symbol(q)
+        worst = 1
+        wrong = False
+        # Stream symbol s belongs to codeword s % k at position s // k.
+        for word in stream.reshape(n, k).T:
+            report = iterative_decode(spec, word, max_iterations=cfg.max_iterations)
+            if not report.success:
+                failures += 1
+                break
+            worst = max(worst, report.iterations_used)
+            wrong = wrong or bool(report.final_word.any())
         else:
-            failures += 1
+            iters.append(worst)
+            miscor += wrong
     return _summarize(cfg, failures, iters, miscor)
+
+
+def run_random(cfg: TrialConfig, spec: CodeSpec | None = None) -> TrialSummary:
+    """Corrupt `weight` distinct uniformly chosen symbols per round."""
+    spec = _spec_for(cfg, spec, RANDOM_MODEL)
+    return _run(cfg, spec, 1, lambda rng, size: rng.sample(size, cfg.weight))
 
 
 def run_burst(cfg: TrialConfig, spec: CodeSpec | None = None) -> TrialSummary:
     """Corrupt `weight` consecutive labels per round, uniform non-wrapping start."""
-    if cfg.error_model != BURST_MODEL:
-        raise ValueError("run_burst needs a burst-model config")
-    spec = _spec_for(cfg, spec)
-    n = spec.n_symbols
-    if cfg.weight > n:
-        raise ValueError(f"burst length exceeds block length {n}")
-    q = spec.field.q
-    failures = 0
-    miscor = 0
-    iters: list[int] = []
-    for rnd in range(cfg.rounds):
-        rng = substream(cfg.seed, rnd)
-        start = rng.below(n - cfg.weight + 1)
-        word = np.zeros(n, dtype=np.uint8)
-        for off in range(cfg.weight):
-            word[start + off] = rng.nonzero_symbol(q)
-        report = iterative_decode(spec, word, max_iterations=cfg.max_iterations)
-        if report.success:
-            iters.append(report.iterations_used)
-            if report.final_word.any():
-                miscor += 1
-        else:
-            failures += 1
-    return _summarize(cfg, failures, iters, miscor)
+    return run_interleaved(1, cfg, spec)
 
 
 def interleaved_burst_pattern(
@@ -197,41 +187,17 @@ def run_interleaved(k: int, cfg: TrialConfig, spec: CodeSpec | None = None) -> T
 
     The k codewords are decoded independently after de-interleaving; a round
     fails iff any constituent fails, and its iteration count is the largest
-    constituent count. k = 1 reduces to run_burst.
+    constituent count. With k = 1 the stream is a single codeword.
     """
-    if cfg.error_model != BURST_MODEL:
-        raise ValueError("run_interleaved needs a burst-model config")
-    spec = _spec_for(cfg, spec)
-    n = spec.n_symbols
-    if cfg.weight > k * n:
-        raise ValueError(f"burst length exceeds the stream length {k * n}")
-    q = spec.field.q
-    failures = 0
-    miscor = 0
-    iters: list[int] = []
-    for rnd in range(cfg.rounds):
-        rng = substream(cfg.seed, rnd)
-        start = rng.below(k * n - cfg.weight + 1)
-        words = np.zeros((k, n), dtype=np.uint8)
-        for s in range(start, start + cfg.weight):
-            words[s % k, s // k] = rng.nonzero_symbol(q)
-        ok = True
-        worst = 1
-        wrong = False
-        for i in range(k):
-            report = iterative_decode(spec, words[i], max_iterations=cfg.max_iterations)
-            if not report.success:
-                ok = False
-                break
-            worst = max(worst, report.iterations_used)
-            wrong = wrong or bool(report.final_word.any())
-        if ok:
-            iters.append(worst)
-            if wrong:
-                miscor += 1
-        else:
-            failures += 1
-    return _summarize(cfg, failures, iters, miscor)
+    if k < 1:
+        raise ValueError("need k >= 1")
+    spec = _spec_for(cfg, spec, BURST_MODEL)
+
+    def burst(rng: SplitMix64, size: int) -> range:
+        start = rng.below(size - cfg.weight + 1)
+        return range(start, start + cfg.weight)
+
+    return _run(cfg, spec, k, burst)
 
 
 def linearity_check(

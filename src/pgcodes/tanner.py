@@ -15,7 +15,7 @@ from typing import Iterator
 
 import numpy as np
 
-from pgcodes.projgeom import ProjectiveSpace, containing_count
+from pgcodes.projgeom import ProjectiveSpace, containing_count, mask_to_ids
 
 
 class TannerGraph:
@@ -40,15 +40,14 @@ class TannerGraph:
 
         n = self.n_side
         # point_adj[v-1] = hyperplane ids incident to point v, ascending.
+        # Incidence is symmetric in this representation, so row h-1 also
+        # lists the points on hyperplane h, ascending.
         point_adj = np.zeros((n, degree), dtype=np.int64)
         for p in space.points:
-            row = _mask_bits(space.incidence_masks[p])
+            row = mask_to_ids(space.incidence_masks[p])
             if len(row) != degree:
                 raise RuntimeError("incidence structure is not regular")
             point_adj[p - 1] = row
-        # Incidence is symmetric in this representation, so the hyperplane-side
-        # adjacency is the same array read per hyperplane id.
-        hpl_adj = point_adj.copy()
 
         # rank[v-1][h-1] = 0-based position of hyperplane h in point v's row.
         rank = np.full((n, n), -1, dtype=np.int64)
@@ -59,17 +58,19 @@ class TannerGraph:
         point_edge_idx = (
             np.arange(n)[:, None] + n * np.arange(degree)[None, :]
         ).astype(np.intp)
-        # For hyperplane h, its k-th edge joins point p = hpl_adj[h-1, k]; that
-        # edge's label comes from p's side of the numbering.
-        hpl_edge_idx = np.zeros((n, degree), dtype=np.intp)
-        for h in range(1, n + 1):
-            pts = hpl_adj[h - 1]
-            hpl_edge_idx[h - 1] = (pts - 1) + n * rank[pts - 1, h - 1]
+        # For hyperplane h, its k-th edge joins point p = point_adj[h-1, k];
+        # that edge's label comes from p's side of the numbering.
+        pts = point_adj - 1
+        hpl_edge_idx = (pts + n * rank[pts, np.arange(n)[:, None]]).astype(np.intp)
 
         self.point_adj = point_adj
-        self.hpl_adj = hpl_adj
         self.point_edge_idx = point_edge_idx
         self.hpl_edge_idx = hpl_edge_idx
+        # Inverses of the edge-index arrays: symbol s sits at row-major slot
+        # point_slot[s] of point_edge_idx, i.e. divmod(slot, degree) gives
+        # its 0-based (vertex, position); hpl_slot likewise per hyperplane.
+        self.point_slot = np.argsort(point_edge_idx, axis=None)
+        self.hpl_slot = np.argsort(hpl_edge_idx, axis=None)
         self._rank = rank
 
     def __repr__(self) -> str:
@@ -162,11 +163,3 @@ def build_graph(d: int = 5) -> TannerGraph:
     """Tanner graph of the points and hyperplanes of PG(d, GF(2))."""
     return TannerGraph(ProjectiveSpace(d))
 
-
-def _mask_bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length())
-        mask ^= low
-    return out

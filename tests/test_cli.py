@@ -112,6 +112,15 @@ def test_sim_rejects_bad_weight(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("k", ["0", "-2"])
+def test_sim_interleaved_rejects_k_below_one(capsys, k):
+    argv = ["sim", "interleaved", "--epsilon", "5", "--weight", "0", "--rounds", "2", "--k", k]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: need k >= 1\n"
+
+
 def test_plant_text(capsys):
     assert main(["plant", "--epsilon", "5", "--seed", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -226,6 +226,22 @@ def test_decode_input_validation(spec5):
         iterative_decode(spec5, np.zeros(1953, dtype=np.uint8), max_iterations=0)
 
 
+def _with_symbol(n, value, as_list):
+    word = np.zeros(n, dtype=np.int64)
+    word[7] = value
+    return word.tolist() if as_list else word
+
+
+@pytest.mark.parametrize("value", [-1, 256, 257, 300])
+@pytest.mark.parametrize("as_list", [False, True])
+def test_symbols_outside_field_rejected(spec5, value, as_list):
+    # Out-of-range symbols must not wrap modulo 256 or leak OverflowError.
+    with pytest.raises(ValueError, match="symbols"):
+        iterative_decode(spec5, _with_symbol(spec5.n_symbols, value, as_list))
+    with pytest.raises(ValueError, match="symbols"):
+        encode(spec5, _with_symbol(spec5.k_overall, value, as_list))
+
+
 def test_word_hex_round_trip(spec5):
     rng = SplitMix64(67)
     word = _random_word(spec5, rng, 100)

@@ -4,10 +4,7 @@ from pgcodes.projgeom import (
     Flat,
     ProjectiveSpace,
     containing_count,
-    enumerate_planes,
     gaussian_coefficient,
-    incident,
-    lines_in,
     num_points,
     span,
 )
@@ -40,12 +37,6 @@ def test_containing_count():
     assert containing_count(5, 0, 4, 2) == 31
     assert containing_count(5, 1, 4, 2) == 15
     assert containing_count(5, 2, 4, 2) == 7
-
-
-def test_incident():
-    assert incident(0b000001, 0b000010)
-    assert not incident(0b000001, 0b000001)
-    assert incident(0b000011, 0b000011)
 
 
 def test_every_hyperplane_has_31_points(space5):
@@ -98,7 +89,6 @@ def test_planes_of_pg5(space5):
     assert all(pl.dimension == 2 for pl in planes)
     # deterministic, sorted, indexable order
     assert list(planes) == sorted(planes, key=lambda f: f.points)
-    assert enumerate_planes(5) == planes
 
 
 def test_each_plane_in_seven_hyperplanes(space5):
@@ -114,13 +104,6 @@ def test_hyperplanes_through_counts(space5):
         assert all(space5.incident(p, h) for p in line.points)
 
 
-def test_lines_in_plane():
-    plane = span([1, 2, 4])
-    lines = lines_in(plane)
-    assert len(lines) == 7
-    assert all(a ^ b == c or a ^ c == b or b ^ c == a for a, b, c in lines)
-
-
 def test_point_not_on_plane_sees_at_most_three_of_its_hyperplanes(space5):
     # spot check of the exhaustive lemma suite in the acceptance tests
     for pl in space5.planes()[::211]:
@@ -129,15 +112,6 @@ def test_point_not_on_plane_sees_at_most_three_of_its_hyperplanes(space5):
             if q in pl.points:
                 continue
             assert sum(1 for h in hs if space5.incident(q, h)) <= 3
-
-
-def test_incidence_pairs_export(space5):
-    pairs = list(space5.incidence_pairs())
-    assert len(pairs) == 63 * 31
-    assert pairs == sorted(pairs)
-    text = space5.format_incidence()
-    first = text.splitlines()[0].split()
-    assert len(first) == 2 and space5.incident(int(first[0]), int(first[1]))
 
 
 def test_small_space_masks():

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from pgcodes.prng import SplitMix64
 from pgcodes.rscodec import RsParams, RsStatus, rs_decode, rs_encode
+from poly_oracle import poly_divmod
 
 EPSILONS = [3, 5, 7, 9, 11, 13, 15]
 
@@ -59,7 +60,7 @@ def test_parity_matches_polynomial_division_oracle(rs7):
         msg = [rng.below(256) for _ in range(25)]
         cw = rs_encode(rs7, msg)
         shifted = [0] * 6 + msg
-        _, rem = f.poly_divmod(shifted, rs7.generator_poly)
+        _, rem = poly_divmod(f, shifted, rs7.generator_poly)
         rem = rem + [0] * (6 - len(rem))
         assert cw[:6] == rem
 

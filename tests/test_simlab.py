@@ -98,6 +98,12 @@ def test_interleaved_k1_matches_burst(spec5):
     )
 
 
+@pytest.mark.parametrize("k", [0, -2])
+def test_interleaved_rejects_k_below_one(spec5, k):
+    with pytest.raises(ValueError, match="need k >= 1"):
+        run_interleaved(k, TrialConfig(5, "burst", 0, rounds=1, seed=1), spec5)
+
+
 def test_interleaved_burst_pattern_split():
     hits = interleaved_burst_pattern(4, 1953, start=10, weight=756)
     assert sorted(len(h) for h in hits) == [189, 189, 189, 189]

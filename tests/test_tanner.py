@@ -9,7 +9,6 @@ def test_cardinalities(graph5):
     assert graph5.degree == 31
     assert graph5.n_edges == 1953
     assert graph5.point_adj.shape == (63, 31)
-    assert graph5.hpl_adj.shape == (63, 31)
 
 
 def test_adjacency_sorted_and_incident(graph5):
@@ -19,7 +18,7 @@ def test_adjacency_sorted_and_incident(graph5):
         assert row == sorted(row)
         assert all(sp.incident(v, h) for h in row)
     for h in range(1, 64):
-        row = graph5.hpl_adj[h - 1].tolist()
+        row = graph5.point_adj[h - 1].tolist()  # points on hyperplane h
         assert row == sorted(row)
         assert all(sp.incident(p, h) for p in row)
 
@@ -39,6 +38,9 @@ def test_labels_are_a_bijection(graph5):
     # and the index arrays partition the symbol range on both sides
     assert sorted(graph5.point_edge_idx.ravel().tolist()) == list(range(1953))
     assert sorted(graph5.hpl_edge_idx.ravel().tolist()) == list(range(1953))
+    # the slot indexes invert them
+    for idx, slot in ((graph5.point_edge_idx, graph5.point_slot), (graph5.hpl_edge_idx, graph5.hpl_slot)):
+        assert idx.ravel()[slot].tolist() == list(range(1953))
 
 
 def test_position_of_inverts_label_of(graph5):
