@@ -8,6 +8,12 @@ corrections back (the components of a side touch disjoint symbol sets, so a
 parallel round and a sequential sweep are identical). A component decoder
 that detects an uncorrectable block skips it, leaving the symbols for the
 other side to repair.
+
+That disjointness is what the decoder exploits: decode_words runs many
+received words in lockstep, and each side pass hands every dirty component
+of that side, in every word still running, to one call of the batched
+component kernel rscodec.decode_batch. iterative_decode is decode_words on
+one word.
 """
 
 from __future__ import annotations
@@ -19,7 +25,9 @@ import numpy as np
 
 from pgcodes.galois import GF
 from pgcodes.projgeom import Flat
-from pgcodes.rscodec import RsParams, rs_decode
+# Decoding here goes through decode_batch. rs_decode is imported only because
+# the benchmark's tracer (bench/run.py) wraps expcode.rs_decode by name.
+from pgcodes.rscodec import RsParams, decode_batch, rs_decode  # noqa: F401
 from pgcodes.tanner import TannerGraph, build_graph
 
 POINT_SIDE = "points"
@@ -221,13 +229,16 @@ def _symbols(spec: CodeSpec, values: Sequence[int] | np.ndarray, what: str) -> n
 
 
 def side_words(spec: CodeSpec, word: np.ndarray, side: str) -> np.ndarray:
-    """Component words of one side as a (63, 31) array, vertex id order."""
+    """Component words of one side: (..., N) -> (..., 63, 31), vertex id order."""
     idx = spec.graph.point_edge_idx if side == POINT_SIDE else spec.graph.hpl_edge_idx
-    return word[idx]
+    return word[..., idx]
 
 
 def component_syndromes(spec: CodeSpec, word: np.ndarray, side: str) -> np.ndarray:
-    return spec.rs.batch_syndromes(side_words(spec, word, side))
+    """Syndromes of one side's components: (..., N) -> (..., 63, 2t)."""
+    comp = side_words(spec, word, side)
+    synd = spec.rs.batch_syndromes(comp.reshape(-1, comp.shape[-1]))
+    return synd.reshape(*comp.shape[:-1], -1)
 
 
 def all_components_valid(spec: CodeSpec, word: np.ndarray) -> bool:
@@ -253,79 +264,113 @@ def iterative_decode(
     exit cannot change the outcome) and otherwise runs the full iteration
     budget; success is judged by the state at exit.
 
-    Erasures are given as 1-based symbol labels. They are forwarded to the
-    component decoders until some component containing them decodes
+    Erasures are given as 1-based integer symbol labels. They are forwarded
+    to the component decoders until some component containing them decodes
     successfully, which resolves them; a component with more usable erasures
     than the code can absorb is treated as a failed (skipped) component.
-    Decoding never raises on bad data: failure is a report state.
+    Decoding never raises on bad data: failure is a report state. This is
+    decode_words on a batch of one word.
     """
-    graph = spec.graph
-    rs = spec.rs
-    word = _symbols(spec, received, "received word").reshape(-1)
-    if word.shape[0] != spec.n_symbols:
-        raise ValueError(f"received word must have {spec.n_symbols} symbols")
-    pending = set()
-    for label in erasures:
-        if not 1 <= label <= spec.n_symbols:
-            raise ValueError(f"erasure label out of range: {label}")
-        pending.add(int(label))
+    labels = np.asarray(erasures if isinstance(erasures, np.ndarray) else list(erasures))
+    if labels.size and (
+        not np.issubdtype(labels.dtype, np.integer)
+        or labels.min() < 1
+        or labels.max() > spec.n_symbols
+    ):
+        raise ValueError(f"erasure labels must be integers in [1, {spec.n_symbols}]")
+    erased = np.zeros((1, spec.n_symbols), dtype=bool)
+    erased[0, labels.astype(np.intp).reshape(-1) - 1] = True
+    return decode_words(spec, np.reshape(received, (1, -1)), erased, max_iterations)[0]
 
+
+def decode_words(
+    spec: CodeSpec,
+    words: np.ndarray,
+    erased: np.ndarray | None = None,
+    max_iterations: int | None = None,
+) -> list[DecodeReport]:
+    """iterative_decode of R words in lockstep, one report per word.
+
+    words is an (R, N) array of symbols and erased an optional (R, N) bool
+    mask of declared erasures. Each side pass decodes the dirty components
+    of that side in every word still running with one decode_batch call,
+    and a word stops at the iteration where both of its sides are clean, so
+    every report equals that of iterative_decode on the word alone.
+    """
     limit = spec.max_iterations if max_iterations is None else max_iterations
     if limit < 1:
         raise ValueError(f"need at least one iteration, got {limit}")
-    reports: list[SideReport] = []
-    success = False
-    iterations_used = limit
+    word = _symbols(spec, words, "received word")
+    if word.ndim != 2 or word.shape[1] != spec.n_symbols:
+        raise ValueError(f"received words must have {spec.n_symbols} symbols each")
+    n_words = word.shape[0]
+    pending = np.zeros(word.shape, dtype=bool) if erased is None else erased.astype(bool)
+    reports: list[list[SideReport]] = [[] for _ in range(n_words)]
+    success = np.zeros(n_words, dtype=bool)
+    iterations_used = np.full(n_words, limit)
+    live = np.arange(n_words)
+    point_synd = None
 
     for iteration in range(1, limit + 1):
-        for side in (POINT_SIDE, HYPERPLANE_SIDE):
-            if side == POINT_SIDE:
-                idx, slot = graph.point_edge_idx, graph.point_slot
-            else:
-                idx, slot = graph.hpl_edge_idx, graph.hpl_slot
-            words = word[idx]
-            synd = rs.batch_syndromes(words)
-            dirty = np.nonzero(synd.any(axis=1))[0]
-            # 0-based vertex -> 0-based positions of its pending erasures.
-            erased_local: dict[int, list[int]] = {}
-            for label in pending:
-                v, k = divmod(int(slot[label - 1]), graph.degree)
-                erased_local.setdefault(v, []).append(k)
-            failures = 0
-            changed = 0
-            todo = sorted(set(dirty.tolist()) | set(erased_local))
-            for v in todo:
-                locs = erased_local.get(v, [])
-                if not synd[v].any():
-                    # Already a valid codeword: erasure values were right.
-                    for k in locs:
-                        pending.discard(int(idx[v, k]) + 1)
-                    continue
-                if len(locs) > rs.two_t:
-                    failures += 1
-                    continue
-                outcome = rs_decode(
-                    rs,
-                    words[v].tolist(),
-                    erasures=locs,
-                    syndromes=None if locs else synd[v],
-                )
-                if outcome.ok:
-                    new = np.array(outcome.word, dtype=np.uint8)
-                    changed += int(np.count_nonzero(new != words[v]))
-                    words[v] = new
-                    for k in locs:
-                        pending.discard(int(idx[v, k]) + 1)
-                else:
-                    failures += 1
-            word[idx] = words
-            reports.append(SideReport(side, failures, changed))
-        if all_components_valid(spec, word):
-            success = True
-            iterations_used = iteration
+        p_fail, p_changed, _ = _side_pass(spec, word, pending, live, POINT_SIDE, point_synd)
+        h_fail, h_changed, hpl_synd = _side_pass(spec, word, pending, live, HYPERPLANE_SIDE)
+        for i, w in enumerate(live.tolist()):
+            reports[w].append(SideReport(POINT_SIDE, int(p_fail[i]), int(p_changed[i])))
+            reports[w].append(SideReport(HYPERPLANE_SIDE, int(h_fail[i]), int(h_changed[i])))
+        # The hyperplane pass returned its side's syndromes; only the point
+        # side is recomputed, and handed on to the next point pass.
+        point_synd = component_syndromes(spec, word[live], POINT_SIDE)
+        clean = ~(point_synd.any(axis=(1, 2)) | hpl_synd.any(axis=(1, 2)))
+        success[live[clean]] = True
+        iterations_used[live[clean]] = iteration
+        live, point_synd = live[~clean], point_synd[~clean]
+        if not live.size:
             break
 
-    return DecodeReport(success, iterations_used, reports, word)
+    return [
+        DecodeReport(bool(success[w]), int(iterations_used[w]), reports[w], word[w])
+        for w in range(n_words)
+    ]
+
+
+def _side_pass(
+    spec: CodeSpec,
+    word: np.ndarray,
+    pending: np.ndarray,
+    live: np.ndarray,
+    side: str,
+    synd: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Decode the dirty components of one side of the live words, in place.
+
+    synd holds the (L, 63, 2t) syndromes of the side's components in the
+    live words, and is computed here when None. A clean component resolves
+    its pending erasures; one with more than 2t pending erasures fails
+    without a decode. Returns per live word the component failures and the
+    symbols changed, and the side's syndromes after the pass: zero where a
+    component decoded, unchanged where it was skipped.
+    """
+    if synd is None:
+        synd = component_syndromes(spec, word[live], side)
+    idx = spec.graph.point_edge_idx if side == POINT_SIDE else spec.graph.hpl_edge_idx
+    at = (live[:, None, None], idx)
+    comp = word[at]
+    pend = pending[at]
+    dirty = synd.any(axis=2)
+    pend[~dirty] = False
+    overloaded = dirty & (pend.sum(axis=2) > spec.rs.two_t)
+    w_i, v_i = np.nonzero(dirty & ~overloaded)
+    before = comp[w_i, v_i]
+    out, ok = decode_batch(spec.rs, before, pend[w_i, v_i], synd[w_i, v_i])
+    comp[w_i, v_i] = out
+    pend[w_i[ok], v_i[ok]] = False
+    synd[w_i[ok], v_i[ok]] = 0
+    word[at] = comp
+    pending[at] = pend
+    failures = overloaded.sum(axis=1) + np.bincount(w_i[~ok], minlength=live.size)
+    moved = (out != before).sum(axis=1)
+    changed = np.bincount(w_i, weights=moved, minlength=live.size).astype(np.int64)
+    return failures, changed, synd
 
 
 def plant_failure_config(spec: CodeSpec, plane: Flat, rng) -> tuple[tuple[int, int], ...]:

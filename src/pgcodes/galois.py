@@ -138,26 +138,6 @@ class GF:
     # ------------------------------------------------------------------
     # polynomial arithmetic (lowest-degree coefficient first)
 
-    @staticmethod
-    def poly_norm(p: Sequence[int]) -> list[int]:
-        """Strip high-order zero coefficients; the zero polynomial becomes []."""
-        out = list(p)
-        while out and out[-1] == 0:
-            out.pop()
-        return out
-
-    @staticmethod
-    def poly_add(p: Sequence[int], q: Sequence[int]) -> list[int]:
-        if len(p) < len(q):
-            p, q = q, p
-        out = list(p)
-        for i, c in enumerate(q):
-            out[i] ^= c
-        return out
-
-    def poly_scale(self, p: Sequence[int], c: int) -> list[int]:
-        return [self.mul(coef, c) for coef in p]
-
     def poly_mul(self, p: Sequence[int], q: Sequence[int]) -> list[int]:
         if not p or not q:
             return []

@@ -6,11 +6,19 @@ the coefficient of x^j, positions n..254 are virtual zeros, and a word is a
 codeword iff its syndromes S_i = sum_j c_j * alpha^(i*j) vanish for
 i = 1..epsilon-1 (consecutive roots starting at alpha^1).
 
+There is one decoder, decode_batch, which runs errors-and-erasures decoding
+on a batch of words in lockstep: every step (erasure locator, a fixed 2t
+steps of Berlekamp-Massey, Chien search over the n real positions, Forney,
+and the closing syndrome check) is a numpy table lookup over all rows at
+once, with a per-row mask where rows differ. rs_decode is its batch-of-1
+wrapper.
+
 The decoder never hides trouble: any detected inconsistency (locator degree
-over budget, root count mismatch, a root in the shortened virtual region, or
-nonzero syndromes after correction) returns the input verbatim with a FAILED
-status. That skip semantics is what the outer iterative decoder relies on to
-leave hopeless component blocks untouched.
+over budget, fewer locator roots among the n real positions than its degree,
+a zero Forney denominator, or nonzero syndromes after correction) returns
+the input verbatim with a FAILED status. That skip semantics is what the
+outer iterative decoder relies on to leave hopeless component blocks
+untouched.
 """
 
 from __future__ import annotations
@@ -77,31 +85,23 @@ class RsParams:
             g = f.poly_mul(g, [f.exp_alpha(i), 1])
         self.generator_poly = g
 
+        exp = np.array(f._exp[: f.order], dtype=np.uint8)
+        j = np.arange(n)
         # power_matrix[i-1, j] = alpha^(i*j): the syndrome functionals.
-        self._power_matrix = np.array(
-            [[f.exp_alpha(i * j) for j in range(n)] for i in range(1, self.two_t + 1)],
-            dtype=np.uint8,
-        )
-        # chien_matrix[j, t] = alpha^(-j*t): locator evaluation at alpha^(-j).
-        self._chien_matrix = np.array(
-            [[f.exp_alpha(-j * t) for t in range(self.two_t + 1)] for j in range(self.parent_n)],
-            dtype=np.uint8,
-        )
+        self._power_matrix = exp[np.arange(1, self.two_t + 1)[:, None] * j % f.order]
+        # chien_matrix[j, t] = alpha^(-j*t): evaluation at alpha^(-j), the
+        # inverse locator of position j.
+        self._chien_matrix = exp[-j[:, None] * np.arange(self.two_t + 1) % f.order]
+        # inv[a] = a^-1, with inv[0] = 0 so that masked rows can be looked up.
+        self._inv = exp[-np.array(f._log) % f.order]
+        self._inv[0] = 0
 
     def __repr__(self) -> str:
         return f"RsParams(n={self.n}, k={self.k}, epsilon={self.epsilon})"
 
     def syndromes(self, word: Sequence[int]) -> list[int]:
         """S_i = sum_j word[j] * alpha^(i*j) for i = 1..epsilon-1."""
-        f = self.field
-        out = []
-        for i in range(1, self.two_t + 1):
-            acc = 0
-            for j, c in enumerate(word):
-                if c:
-                    acc ^= f.mul(c, self._power_matrix[i - 1, j])
-            out.append(acc)
-        return out
+        return self.batch_syndromes(np.asarray(word, dtype=np.uint8)[None])[0].tolist()
 
     def batch_syndromes(self, words: np.ndarray) -> np.ndarray:
         """Syndromes of many words at once: (v, n) uint8 -> (v, 2t) uint8."""
@@ -109,14 +109,11 @@ class RsParams:
         prod = mt[self._power_matrix[None, :, :], words[:, None, :]]
         return np.bitwise_xor.reduce(prod, axis=2)
 
-    def locator_roots(self, locator: Sequence[int]) -> list[int]:
-        """Positions j in [0, parent_n) with locator(alpha^(-j)) = 0."""
+    def locator_roots(self, locators: np.ndarray) -> np.ndarray:
+        """Chien search: (B, 2t+1) locators -> (B, n) mask of locator(alpha^(-j)) = 0."""
         mt = self.field.mul_table
-        coeffs = np.asarray(locator, dtype=np.uint8)
-        vals = np.bitwise_xor.reduce(
-            mt[self._chien_matrix[:, : len(coeffs)], coeffs[None, :]], axis=1
-        )
-        return np.nonzero(vals == 0)[0].tolist()
+        vals = mt[self._chien_matrix[None, :, :], locators[:, None, :]]
+        return np.bitwise_xor.reduce(vals, axis=2) == 0
 
 
 def rs_encode(params: RsParams, message: Sequence[int]) -> list[int]:
@@ -147,7 +144,7 @@ def rs_decode(
     erasures: Iterable[int] = (),
     syndromes: Sequence[int] | None = None,
 ) -> RsOutcome:
-    """Bounded-distance errors-and-erasures decoding via Berlekamp-Massey.
+    """Bounded-distance errors-and-erasures decoding of one word.
 
     Corrects any pattern of e symbol errors and f declared erasures with
     2e + f <= epsilon - 1. Precomputed syndromes of the received word may be
@@ -156,99 +153,142 @@ def rs_decode(
     Calling with more than epsilon - 1 erasures is a domain error; every
     detected failure returns the input unchanged.
     """
-    f_ = params.field
-    n = params.n
-    two_t = params.two_t
-    received = _check_symbols(params, received, n, "received word")
+    received = _check_symbols(params, received, params.n, "received word")
     erasures = sorted(set(erasures))
-    if erasures and not (0 <= erasures[0] and erasures[-1] < n):
+    if erasures and not (0 <= erasures[0] and erasures[-1] < params.n):
         raise ValueError("erasure positions out of range")
-    n_erased = len(erasures)
-    if n_erased > two_t:
-        raise ValueError(f"at most {two_t} erasures are usable, got {n_erased}")
-
-    work = list(received)
-    for j in erasures:
-        work[j] = 0
-    if syndromes is not None and not erasures:
-        synd = [int(s) for s in syndromes]
-    else:
-        synd = params.syndromes(work)
-    if not any(synd):
-        return RsOutcome(RsStatus.CORRECTED, work, 0, n_erased)
-
-    # Erasure locator gamma(x) = prod (1 - alpha^j x) seeds the key equation.
-    gamma = [1]
-    for j in erasures:
-        gamma = f_.poly_mul(gamma, [1, f_.exp_alpha(j)])
-    locator = _berlekamp_massey(f_, synd, two_t, gamma, n_erased)
-
-    deg = len(locator) - 1
-    n_errors = deg - n_erased
-    if locator[0] != 1 or n_errors < 0 or 2 * n_errors + n_erased > two_t:
-        return _failed(received, n_erased)
-    roots = params.locator_roots(locator)
-    if len(roots) != deg:
-        return _failed(received, n_erased)
-    if roots and roots[-1] >= n:
-        # A locator root in the shortened virtual region is a sure failure.
-        return _failed(received, n_erased)
-
-    # Forney: error value at position j is omega(X^-1) / locator'(X^-1) with
-    # X = alpha^j and omega = synd(x) * locator(x) mod x^(2t).
-    omega = f_.poly_mul(synd, locator)[:two_t]
-    deriv = [0] * max(1, deg)
-    for i in range(1, deg + 1, 2):
-        deriv[i - 1] = locator[i]
-    candidate = list(work)
-    for j in roots:
-        x_inv = f_.exp_alpha(-j)
-        denom = f_.poly_eval(deriv, x_inv)
-        if denom == 0:
-            return _failed(received, n_erased)
-        candidate[j] ^= f_.div(f_.poly_eval(omega, x_inv), denom)
-
-    if any(params.syndromes(candidate)):
-        return _failed(received, n_erased)
-    erased = set(erasures)
-    n_corrected = sum(
-        1 for j in range(n) if j not in erased and candidate[j] != received[j]
-    )
-    return RsOutcome(RsStatus.CORRECTED, candidate, n_corrected, n_erased)
+    if len(erasures) > params.two_t:
+        raise ValueError(f"at most {params.two_t} erasures are usable, got {len(erasures)}")
+    word = np.array([received], dtype=np.uint8)
+    erased = np.zeros(word.shape, dtype=bool)
+    erased[0, erasures] = True
+    synd = None if syndromes is None else np.array([syndromes], dtype=np.uint8)
+    out, ok = decode_batch(params, word, erased, synd)
+    if not ok[0]:
+        return RsOutcome(RsStatus.FAILED, received, 0, len(erasures))
+    corrected = int(np.count_nonzero((out[0] != word[0]) & ~erased[0]))
+    return RsOutcome(RsStatus.CORRECTED, out[0].tolist(), corrected, len(erasures))
 
 
-def _failed(received: Sequence[int], n_erased: int) -> RsOutcome:
-    return RsOutcome(RsStatus.FAILED, list(received), 0, n_erased)
+def decode_batch(
+    params: RsParams,
+    words: np.ndarray,
+    erased: np.ndarray | None = None,
+    syndromes: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Errors-and-erasures decoding of B words in lockstep.
 
-
-def _berlekamp_massey(
-    field: GF, synd: Sequence[int], two_t: int, gamma: Sequence[int], n_erased: int
-) -> list[int]:
-    """Errata locator from syndromes, seeded with the erasure locator.
-
-    Massey's LFSR synthesis in its structural form: the shift register and
-    the correction register both start at gamma, and the first n_erased
-    syndromes are skipped because the erasures already explain them.
+    words is (B, n) uint8 and erased an optional (B, n) bool mask of at most
+    2t declared erasures per row. syndromes, when given, are the (B, 2t)
+    syndromes of words; they stand in for a recomputation on rows without
+    erasures. Returns (out, ok): where ok, out holds the decoded codeword
+    (erased symbols of an already-valid word read 0); elsewhere out equals
+    words.
     """
-    cur = list(gamma)
-    prev = list(gamma)
-    for i in range(two_t - n_erased):
-        k = i + n_erased
-        delta = synd[k]
-        for j in range(1, len(cur)):
-            if j > k:
-                break
-            if cur[j] and synd[k - j]:
-                delta ^= field.mul(cur[j], synd[k - j])
-        prev = [0] + prev
-        if delta:
-            if len(prev) > len(cur):
-                swapped = field.poly_scale(prev, delta)
-                prev = field.poly_scale(cur, field.inv(delta))
-                cur = swapped
-            cur = field.poly_add(cur, field.poly_scale(prev, delta))
-    cur = field.poly_norm(cur)
-    return cur if cur else [0]
+    if erased is None:
+        erased = np.zeros(words.shape, dtype=bool)
+    n_erased = erased.sum(axis=1)
+    if n_erased.max(initial=0) > params.two_t:
+        raise ValueError(f"at most {params.two_t} erasures per word are usable")
+    out = np.where(erased, np.uint8(0), words)
+    if syndromes is None:
+        synd = params.batch_syndromes(out)
+    else:
+        synd = syndromes.copy()
+        rows = np.nonzero(n_erased)[0]
+        if rows.size:
+            synd[rows] = params.batch_syndromes(out[rows])
+    ok = ~synd.any(axis=1)
+    todo = np.nonzero(~ok)[0]
+    if todo.size:
+        fixed, good = _correct(params, out[todo], erased[todo], n_erased[todo], synd[todo])
+        out[todo] = np.where(good[:, None], fixed, words[todo])
+        ok[todo] = good
+    return out, ok
+
+
+def _correct(
+    params: RsParams,
+    work: np.ndarray,
+    erased: np.ndarray,
+    n_erased: np.ndarray,
+    synd: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The decoding steps proper, for rows with nonzero syndromes.
+
+    work has its erased symbols zeroed. Returns the corrected rows and the
+    mask of rows that passed every check.
+    """
+    mt = params.field.mul_table
+    two_t = params.two_t
+    B = work.shape[0]
+
+    # Erasure locator gamma(x) = prod (1 + alpha^j x), one slot at a time
+    # over each row's sorted erasure positions.
+    gamma = np.zeros((B, two_t + 1), dtype=np.uint8)
+    gamma[:, 0] = 1
+    er_row, er_pos = np.nonzero(erased)
+    slot = np.arange(er_row.size) - (np.cumsum(n_erased) - n_erased)[er_row]
+    x_er = params._power_matrix[0, er_pos]
+    for s in range(int(n_erased.max(initial=0))):
+        at = slot == s
+        r = er_row[at]
+        gamma[r, 1:] ^= mt[x_er[at][:, None], gamma[r, :-1]]
+
+    # Berlekamp-Massey (Massey's LFSR synthesis), seeded with gamma: a fixed
+    # 2t steps, row r joining at step n_erased[r] because its erasures
+    # already explain the syndromes before that. Both registers start at
+    # gamma, which keeps them multiples of it. The correction register sits
+    # in columns 1.. of buf, whose column 0 stays zero, so buf[:, :-1] is
+    # x times it. length is the register length of Berlekamp's rule: the
+    # registers swap when delta != 0 and 2 * length <= n_erased + k.
+    cur = gamma
+    buf = np.zeros((B, two_t + 2), dtype=np.uint8)
+    buf[:, 1:] = gamma
+    length = n_erased
+    # windows[r, k, j] = S_(k+1-j) of row r, zero for j > k; BM reads it
+    # masked to zero before row r joins.
+    steps = np.arange(two_t)
+    padded = np.zeros((B, 2 * two_t), dtype=np.uint8)
+    padded[:, :two_t] = synd[:, ::-1]
+    windows = padded[:, two_t - 1 - steps[:, None] + np.arange(two_t + 1)]
+    active = n_erased[:, None] <= steps
+    masked = windows * active[:, :, None]
+    for k in steps:
+        delta = np.bitwise_xor.reduce(mt[cur, masked[:, k]], axis=1)
+        prev = np.where(active[:, k, None], buf[:, :-1], buf[:, 1:])
+        swap = (delta != 0) & (2 * length <= n_erased + k)
+        buf[:, 1:] = np.where(swap[:, None], mt[cur, params._inv[delta][:, None]], prev)
+        cur = cur ^ mt[delta[:, None], prev]
+        length = np.where(swap, n_erased + k + 1 - length, length)
+
+    deg = two_t - np.argmax(cur[:, ::-1] != 0, axis=1)
+    ok = 2 * deg - n_erased <= two_t
+
+    # Chien: a locator with constant term 1 has at most deg distinct roots
+    # among the alpha^(-j), so deg roots in [0, n) rules out both a short
+    # count and a root in the shortened region.
+    roots = np.zeros(work.shape, dtype=bool)
+    live = np.nonzero(ok)[0]
+    roots[live] = params.locator_roots(cur[live])
+    ok &= roots.sum(axis=1) == deg
+
+    # Forney: the error value at position j is omega(X^-1) / locator'(X^-1)
+    # with X = alpha^j and omega = synd(x) * locator(x) mod x^(2t).
+    omega = np.bitwise_xor.reduce(mt[cur[:, None, :], windows], axis=2)
+    deriv = np.zeros((B, two_t), dtype=np.uint8)
+    deriv[:, 0::2] = cur[:, 1::2]
+    root_row, root_pos = np.nonzero(roots & ok[:, None])
+    x_inv = params._chien_matrix[root_pos, :two_t]
+    num = np.bitwise_xor.reduce(mt[x_inv, omega[root_row]], axis=1)
+    denom = np.bitwise_xor.reduce(mt[x_inv, deriv[root_row]], axis=1)
+    ok[root_row[denom == 0]] = False
+    fixed = work.copy()
+    fixed[root_row, root_pos] ^= mt[num, params._inv[denom]]
+
+    live = np.nonzero(ok)[0]
+    ok[live] = ~params.batch_syndromes(fixed[live]).any(axis=1)
+    return fixed, ok
 
 
 def _check_symbols(

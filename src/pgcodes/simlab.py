@@ -10,21 +10,31 @@ transmitted word are reported separately as miscorrections.
 Each round draws from an independent splitmix64 substream derived from
 (seed, round index), so results are bit-reproducible regardless of execution
 order and rounds could be distributed across workers without changing them.
+The rounds are drawn in order and their codewords decoded in lockstep, a
+block of consecutive rounds per expcode.decode_words call; a word's report
+does not depend on the other words of its block, so the summaries equal
+those of decoding word by word.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from pgcodes.expcode import CodeSpec, encode, iterative_decode
+from pgcodes.expcode import CodeSpec, decode_words, encode, iterative_decode
 from pgcodes.prng import SplitMix64, substream
 
 RANDOM_MODEL = "random"
 BURST_MODEL = "burst"
+# Codewords decoded in lockstep per decode_words call. At epsilon=7, w=250
+# a word takes about 4.5 ms alone, 2.5 ms in blocks of 4 and 2.0 ms in
+# blocks of 16, with no further gain at 32 or 64; the block's peak memory
+# grows by about 50 KB per word.
+_LOCKSTEP_WORDS = 16
 
 
 @dataclass(frozen=True)
@@ -120,36 +130,48 @@ def _run(
 
     Each round corrupts the stream symbols that positions(rng, k * n) names,
     drawing one nonzero value per symbol in stream order after the positions,
-    then decodes the k symbol-interleaved codewords independently. A round
-    fails iff any codeword fails; its iteration count is the largest over
-    its codewords.
+    and de-interleaves the stream into k codewords. The codewords of
+    consecutive rounds are decoded _LOCKSTEP_WORDS at a time by one
+    decode_words call. A round fails iff any codeword fails; its iteration
+    count is the largest over its codewords.
     """
     n = spec.n_symbols
     if cfg.weight > k * n:
         raise ValueError(f"weight exceeds the {k * n} symbols of the stream")
+    failed = np.zeros(cfg.rounds, dtype=bool)
+    worst = np.ones(cfg.rounds, dtype=np.int64)
+    wrong = np.zeros(cfg.rounds, dtype=bool)
+    words = _round_words(cfg, spec, k, positions)
+    while block := list(itertools.islice(words, _LOCKSTEP_WORDS)):
+        owners, batch = zip(*block)
+        reports = decode_words(spec, np.stack(batch), max_iterations=cfg.max_iterations)
+        for rnd, report in zip(owners, reports):
+            if report.success:
+                worst[rnd] = max(worst[rnd], report.iterations_used)
+                wrong[rnd] |= bool(report.final_word.any())
+            else:
+                failed[rnd] = True
+    ok = ~failed
+    return _summarize(cfg, int(failed.sum()), worst[ok].tolist(), int(wrong[ok].sum()))
+
+
+def _round_words(
+    cfg: TrialConfig,
+    spec: CodeSpec,
+    k: int,
+    positions: Callable[[SplitMix64, int], Iterable[int]],
+) -> Iterator[tuple[int, np.ndarray]]:
+    """(round, received codeword) pairs, in round order."""
+    n = spec.n_symbols
     q = spec.field.q
-    failures = 0
-    miscor = 0
-    iters: list[int] = []
     for rnd in range(cfg.rounds):
         rng = substream(cfg.seed, rnd)
         stream = np.zeros(k * n, dtype=np.uint8)
         for s in positions(rng, k * n):
             stream[s] = rng.nonzero_symbol(q)
-        worst = 1
-        wrong = False
         # Stream symbol s belongs to codeword s % k at position s // k.
         for word in stream.reshape(n, k).T:
-            report = iterative_decode(spec, word, max_iterations=cfg.max_iterations)
-            if not report.success:
-                failures += 1
-                break
-            worst = max(worst, report.iterations_used)
-            wrong = wrong or bool(report.final_word.any())
-        else:
-            iters.append(worst)
-            miscor += wrong
-    return _summarize(cfg, failures, iters, miscor)
+            yield rnd, word
 
 
 def run_random(cfg: TrialConfig, spec: CodeSpec | None = None) -> TrialSummary:
@@ -161,25 +183,6 @@ def run_random(cfg: TrialConfig, spec: CodeSpec | None = None) -> TrialSummary:
 def run_burst(cfg: TrialConfig, spec: CodeSpec | None = None) -> TrialSummary:
     """Corrupt `weight` consecutive labels per round, uniform non-wrapping start."""
     return run_interleaved(1, cfg, spec)
-
-
-def interleaved_burst_pattern(
-    k: int, n: int, start: int, weight: int
-) -> list[list[int]]:
-    """Per-codeword 0-based symbol positions hit by a stream burst.
-
-    Stream symbol s belongs to codeword s mod k at position s // k, so a
-    burst of w consecutive stream symbols splits into k runs of consecutive
-    positions whose lengths differ by at most one.
-    """
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
-    if not 0 <= start <= k * n - weight:
-        raise ValueError("burst does not fit the interleaved stream")
-    out: list[list[int]] = [[] for _ in range(k)]
-    for s in range(start, start + weight):
-        out[s % k].append(s // k)
-    return out
 
 
 def run_interleaved(k: int, cfg: TrialConfig, spec: CodeSpec | None = None) -> TrialSummary:

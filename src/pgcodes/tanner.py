@@ -66,11 +66,6 @@ class TannerGraph:
         self.point_adj = point_adj
         self.point_edge_idx = point_edge_idx
         self.hpl_edge_idx = hpl_edge_idx
-        # Inverses of the edge-index arrays: symbol s sits at row-major slot
-        # point_slot[s] of point_edge_idx, i.e. divmod(slot, degree) gives
-        # its 0-based (vertex, position); hpl_slot likewise per hyperplane.
-        self.point_slot = np.argsort(point_edge_idx, axis=None)
-        self.hpl_slot = np.argsort(hpl_edge_idx, axis=None)
         self._rank = rank
 
     def __repr__(self) -> str:

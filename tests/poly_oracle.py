@@ -1,9 +1,11 @@
-"""Polynomial long division over GF(2^m), the oracle for the RS encoder.
+"""Polynomial helpers over GF(2^m) that only the tests need.
 
 Polynomials are lists of field elements, lowest-degree coefficient first,
-as in pgcodes.galois. The library itself never divides polynomials: its RS
-encoder is an LFSR, and test_rscodec checks its parity symbols against the
-remainder computed here.
+as in pgcodes.galois. The library itself never divides, adds or normalises
+polynomials: its RS encoder is an LFSR and its decoder a numpy kernel.
+test_rscodec checks the encoder's parity symbols against the remainder
+computed here, and rs_oracle's scalar decoder builds on poly_add and
+poly_norm.
 """
 
 from __future__ import annotations
@@ -13,14 +15,31 @@ from typing import Sequence
 from pgcodes.galois import GF
 
 
+def poly_norm(p: Sequence[int]) -> list[int]:
+    """Strip high-order zero coefficients; the zero polynomial becomes []."""
+    out = list(p)
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def poly_add(p: Sequence[int], q: Sequence[int]) -> list[int]:
+    if len(p) < len(q):
+        p, q = q, p
+    out = list(p)
+    for i, c in enumerate(q):
+        out[i] ^= c
+    return out
+
+
 def poly_divmod(
     field: GF, p: Sequence[int], d: Sequence[int]
 ) -> tuple[list[int], list[int]]:
     """Quotient and remainder with deg(remainder) < deg(divisor)."""
-    d = field.poly_norm(d)
+    d = poly_norm(d)
     if not d:
         raise ZeroDivisionError("polynomial division by zero polynomial")
-    r = field.poly_norm(p)
+    r = poly_norm(p)
     dn = len(d) - 1
     lead_inv = field.inv(d[-1])
     quot = [0] * max(0, len(r) - dn)
@@ -31,5 +50,5 @@ def poly_divmod(
         for i, dc in enumerate(d):
             if dc:
                 r[shift + i] ^= field.mul(dc, c)
-        r = field.poly_norm(r)
+        r = poly_norm(r)
     return quot, r

@@ -9,6 +9,7 @@ from pgcodes.expcode import (
     apply_pattern,
     build_parity,
     component_syndromes,
+    decode_words,
     encode,
     iterative_decode,
     plant_failure_config,
@@ -217,6 +218,47 @@ def test_erasure_decoding(spec5):
     assert np.array_equal(report.final_word, cw)
     with pytest.raises(ValueError):
         iterative_decode(spec5, rec, erasures=[0])
+
+
+@pytest.mark.parametrize("labels", [[1.5], [True], np.array([1.0])])
+def test_non_integer_erasure_labels_rejected(spec5, labels):
+    # A float or bool label must not be read as the integer it truncates to.
+    word = np.zeros(spec5.n_symbols, dtype=np.uint8)
+    word[0] = 5
+    with pytest.raises(ValueError, match="erasure labels"):
+        iterative_decode(spec5, word, erasures=labels)
+
+
+@pytest.mark.parametrize("with_erasures", [False, True])
+@pytest.mark.parametrize("max_iterations", [None, 2])
+def test_decode_words_matches_single_word_decodes(spec5, with_erasures, max_iterations):
+    # Lockstep decoding of R words gives each word the report it gets alone;
+    # the weights mix one-pass successes, later successes and failures, and
+    # the erasure case also overloads point vertex 1.
+    n = spec5.n_symbols
+    words = np.zeros((8, n), dtype=np.uint8)
+    erased = np.zeros((8, n), dtype=bool)
+    for r, weight in enumerate((0, 8, 60, 120, 160, 180, 200, 260)):
+        rng = substream(4242, r)
+        pos = rng.sample(n, weight + 24)
+        for p in pos[:weight]:
+            words[r, p] = rng.nonzero_symbol(256)
+        if with_erasures:
+            erased[r, pos[weight:]] = True
+            words[r, pos[weight::2]] = 7
+    if with_erasures:
+        erased[5, spec5.graph.point_edge_idx[0, :5]] = True
+    reports = decode_words(spec5, words, erased, max_iterations)
+    for r, got in enumerate(reports):
+        labels = (np.nonzero(erased[r])[0] + 1).tolist()
+        alone = iterative_decode(spec5, words[r], labels, max_iterations)
+        assert (got.success, got.iterations_used, got.per_iteration) == (
+            alone.success,
+            alone.iterations_used,
+            alone.per_iteration,
+        )
+        assert np.array_equal(got.final_word, alone.final_word)
+    assert {rep.success for rep in reports} == {True, False}
 
 
 def test_decode_input_validation(spec5):

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pgcodes.galois import GF
-from poly_oracle import poly_divmod
+from poly_oracle import poly_add, poly_divmod, poly_norm
 
 
 def slow_mul(a: int, b: int, poly: int = 0x11D, m: int = 8) -> int:
@@ -143,12 +143,12 @@ def test_poly_mul_examples_and_convolution_oracle(field8):
 )
 def test_poly_divmod_property(p, d):
     f = GF(8)
-    d = f.poly_norm(d)
+    d = poly_norm(d)
     if not d:
         return
     q, r = poly_divmod(f, p, d)
     assert len(r) < len(d)
-    assert f.poly_norm(f.poly_add(f.poly_mul(q, d), r)) == f.poly_norm(p)
+    assert poly_norm(poly_add(f.poly_mul(q, d), r)) == poly_norm(p)
 
 
 def test_poly_divmod_by_zero(field8):

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pgcodes.prng import SplitMix64
-from pgcodes.rscodec import RsParams, RsStatus, rs_decode, rs_encode
+import rs_oracle
+from pgcodes.rscodec import RsParams, RsStatus, decode_batch, rs_decode, rs_encode
 from poly_oracle import poly_divmod
 
 EPSILONS = [3, 5, 7, 9, 11, 13, 15]
@@ -181,7 +182,8 @@ def test_batch_syndromes_match_scalar(rs7):
     )
     batch = rs7.batch_syndromes(words)
     for i in range(8):
-        assert batch[i].tolist() == rs7.syndromes(words[i].tolist())
+        assert batch[i].tolist() == rs_oracle.syndromes(rs7, words[i].tolist())
+        assert rs7.syndromes(words[i].tolist()) == batch[i].tolist()
 
 
 def test_dvd_style_parent_code(field8):
@@ -215,3 +217,56 @@ def test_round_trip_hypothesis(data):
     out = rs_decode(p, rec)
     assert out.status is RsStatus.CORRECTED
     assert out.word == cw
+
+
+def _oracle_rows(p, draws):
+    """Received words and erasure positions from (seed, erasures, errors) draws."""
+    words, erasures = [], []
+    for seed, n_erased, weight in draws:
+        rng = SplitMix64(seed)
+        cw = rs_encode(p, [rng.below(256) for _ in range(p.k)])
+        pos = rng.sample(p.n, min(p.n, n_erased + weight))
+        rec = list(cw)
+        for j in pos[:n_erased]:
+            rec[j] = rng.below(256)
+        for j in pos[n_erased:]:
+            rec[j] ^= rng.nonzero_symbol(256)
+        words.append(rec)
+        erasures.append(pos[:n_erased])
+    return words, erasures
+
+
+@settings(deadline=None, max_examples=150)
+@given(data=st.data())
+def test_decode_batch_matches_scalar_oracle(data):
+    # Row by row, the lockstep kernel gives the scalar decoder's status and
+    # word, and rs_decode its whole outcome, from clean words to words with
+    # every symbol in error; 2t + 1 erasures are refused by both.
+    p = RsParams(31, data.draw(st.sampled_from(EPSILONS)))
+    draws = data.draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, 2**32),
+                st.integers(0, p.two_t + 1),
+                st.integers(0, p.n) | st.integers(0, p.t + 2),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    words, erasures = _oracle_rows(p, draws)
+    usable = [i for i, e in enumerate(erasures) if len(e) <= p.two_t]
+    batch = np.array([words[i] for i in usable], dtype=np.uint8).reshape(-1, p.n)
+    erased = np.zeros(batch.shape, dtype=bool)
+    for row, i in enumerate(usable):
+        erased[row, erasures[i]] = True
+    out, ok = decode_batch(p, batch, erased)
+    for row, i in enumerate(usable):
+        expected = rs_oracle.rs_decode(p, words[i], erasures[i])
+        assert (bool(ok[row]), out[row].tolist()) == (expected.ok, expected.word)
+        assert rs_decode(p, words[i], erasures=erasures[i]) == expected
+    for i in set(range(len(words))) - set(usable):
+        with pytest.raises(ValueError):
+            rs_oracle.rs_decode(p, words[i], erasures[i])
+        with pytest.raises(ValueError):
+            rs_decode(p, words[i], erasures=erasures[i])

@@ -6,7 +6,6 @@ from pgcodes.prng import SplitMix64, substream
 from pgcodes.simlab import (
     TrialConfig,
     TrialSummary,
-    interleaved_burst_pattern,
     linearity_check,
     run_burst,
     run_interleaved,
@@ -102,17 +101,6 @@ def test_interleaved_k1_matches_burst(spec5):
 def test_interleaved_rejects_k_below_one(spec5, k):
     with pytest.raises(ValueError, match="need k >= 1"):
         run_interleaved(k, TrialConfig(5, "burst", 0, rounds=1, seed=1), spec5)
-
-
-def test_interleaved_burst_pattern_split():
-    hits = interleaved_burst_pattern(4, 1953, start=10, weight=756)
-    assert sorted(len(h) for h in hits) == [189, 189, 189, 189]
-    for h in hits:
-        assert h == list(range(h[0], h[0] + len(h)))
-    hits = interleaved_burst_pattern(4, 1953, start=8, weight=760)
-    assert sorted(len(h) for h in hits) == [190, 190, 190, 190]
-    with pytest.raises(ValueError):
-        interleaved_burst_pattern(4, 1953, start=4 * 1953 - 5, weight=10)
 
 
 def test_interleaved_guaranteed_burst(spec7):
