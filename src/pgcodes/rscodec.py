@@ -181,9 +181,8 @@ def decode_batch(
     words is (B, n) uint8 and erased an optional (B, n) bool mask of at most
     2t declared erasures per row. syndromes, when given, are the (B, 2t)
     syndromes of words; they stand in for a recomputation on rows without
-    erasures. Returns (out, ok): where ok, out holds the decoded codeword
-    (erased symbols of an already-valid word read 0); elsewhere out equals
-    words.
+    erasures. Returns (out, ok): where ok, out holds the decoded codeword;
+    elsewhere out equals words.
     """
     if erased is None:
         erased = np.zeros(words.shape, dtype=bool)

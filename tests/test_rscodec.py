@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pgcodes.prng import SplitMix64
 import rs_oracle
+from pgcodes.prng import SplitMix64
 from pgcodes.rscodec import RsParams, RsStatus, decode_batch, rs_decode, rs_encode
 from poly_oracle import poly_divmod
 
