@@ -2,8 +2,10 @@
 
 The digests were recorded from the implementation before the Monte Carlo
 drivers were merged into one loop and the erasure bookkeeping moved to a
-precomputed index. Any change to them means the outputs for fixed seeds
-changed, which those refactors must not do.
+precomputed index; the generator and encode digests were recorded from the
+gather-formula encoder and row reduction. Any change
+to them means the outputs for fixed seeds changed, which those refactors must
+not do.
 """
 
 import hashlib
@@ -13,8 +15,8 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from pgcodes.expcode import CodeSpec, build_parity, iterative_decode
-from pgcodes.prng import substream
+from pgcodes.expcode import CodeSpec, build_parity, encode, iterative_decode
+from pgcodes.prng import SplitMix64, substream
 from pgcodes.simlab import TrialConfig, run_burst, run_interleaved, run_random
 
 
@@ -143,3 +145,38 @@ def test_parity_digest(specs, epsilon, expected):
     H = build_parity(specs[epsilon])
     got = hashlib.sha256(repr(H.shape).encode() + H.tobytes()).hexdigest()
     assert got == expected
+
+
+@pytest.mark.parametrize(
+    "epsilon, expected",
+    [
+        (5, "824f330d5d30342bb8f549da5197b5cee4bb0652babcf32e1a7ec54565ba658d"),
+        (7, "8c844b5f1b1438be36b6884524091a206d5497682d9729b5bd47591aba202998"),
+    ],
+)
+def test_generator_digest(specs, epsilon, expected):
+    spec = specs[epsilon]
+    G = spec.generator_matrix
+    got = hashlib.sha256(repr((G.shape, spec.rank)).encode() + G.tobytes()).hexdigest()
+    assert got == expected
+
+
+@pytest.mark.parametrize(
+    "message, expected",
+    [
+        ("zero", "10099594983cd43345d46cb420473f2e1b27690088d266a29632c48b65afd9c0"),
+        ("all-255", "5ffe248212b5c7f190c0315b75e08a6b32650dd544b19d699863060bc92f9b52"),
+        ("splitmix64", "3c6145e0d4b83676b32373585c34f313e83b95abac2e23370a2b3e195afd9e98"),
+    ],
+)
+def test_encode_digest(specs, message, expected):
+    spec = specs[7]
+    k = spec.k_overall
+    if message == "zero":
+        msg = np.zeros(k, dtype=np.uint8)
+    elif message == "all-255":
+        msg = np.full(k, 255, dtype=np.uint8)
+    else:
+        rng = SplitMix64(507)
+        msg = np.array([rng.below(256) for _ in range(k)], dtype=np.uint8)
+    assert hashlib.sha256(encode(spec, msg).tobytes()).hexdigest() == expected
