@@ -166,7 +166,7 @@ def derive_generator(spec: CodeSpec, parity: np.ndarray | None = None) -> np.nda
     rre, pivots = _row_reduce(spec.field, H)
     rank = len(pivots)
     n = H.shape[1]
-    free = [c for c in range(n) if c not in set(pivots)]
+    free = np.setdiff1d(np.arange(n), pivots)
     G = np.zeros((len(free), n), dtype=np.uint8)
     G[np.arange(len(free)), free] = 1
     G[:, pivots] = rre[:rank, free].T
@@ -176,27 +176,33 @@ def derive_generator(spec: CodeSpec, parity: np.ndarray | None = None) -> np.nda
 
 
 def _row_reduce(field: GF, M: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over GF(2^m) by table-driven elimination."""
+    """Reduced row echelon form over GF(2^m), row updates by bit planes.
+
+    At pivot (r, c) the pivot row is zero left of c, so only columns c: move.
+    A row with coefficient v there takes the XOR of x^b times the pivot row
+    over the bits b of v: m products per pivot instead of one per entry.
+    """
     A = M.copy()
     mt = field.mul_table
-    inv = np.array([0] + [field.inv(v) for v in range(1, field.q)], dtype=np.uint8)
+    x_b = 1 << np.arange(field.m)
     n_rows, n_cols = A.shape
     pivots: list[int] = []
     r = 0
     for c in range(n_cols):
-        col = A[r:, c]
-        nz = np.nonzero(col)[0]
+        nz = np.nonzero(A[r:, c])[0]
         if nz.size == 0:
             continue
         p = r + nz[0]
         if p != r:
             A[[r, p]] = A[[p, r]]
-        A[r] = mt[inv[A[r, c]], A[r]]
-        col_all = A[:, c].copy()
-        col_all[r] = 0
-        rows = np.nonzero(col_all)[0]
-        if rows.size:
-            A[rows] ^= mt[col_all[rows][:, None], A[r][None, :]]
+        A[r, c:] = mt[field.inv_table[A[r, c]], A[r, c:]]
+        coef = A[:, c].copy()
+        coef[r] = 0
+        planes = mt[x_b[:, None], A[r, c:]]
+        for b in range(field.m):
+            rows = np.nonzero(coef & x_b[b])[0]
+            if rows.size:
+                A[rows, c:] ^= planes[b]
         pivots.append(c)
         r += 1
         if r == n_rows:
@@ -207,13 +213,20 @@ def _row_reduce(field: GF, M: np.ndarray) -> tuple[np.ndarray, list[int]]:
 def encode(
     spec: CodeSpec, message: Sequence[int], generator: np.ndarray | None = None
 ) -> np.ndarray:
-    """Codeword = message * G over GF(256), symbols indexed by label - 1."""
+    """Codeword = message * G over GF(256), symbols indexed by label - 1.
+
+    Computed by bit planes: plane b is the XOR of the rows of G whose message
+    symbol has bit b set, and the codeword is the XOR of x^b times plane b.
+    """
     G = spec.generator_matrix if generator is None else generator
     msg = _symbols(spec, message, "message")
     if msg.ndim != 1 or msg.shape[0] != G.shape[0]:
         raise ValueError(f"message must have {G.shape[0]} symbols, got {msg.shape}")
     mt = spec.field.mul_table
-    return np.bitwise_xor.reduce(mt[msg[:, None], G], axis=0)
+    word = np.zeros(G.shape[1], dtype=np.uint8)
+    for b in range(spec.field.m):
+        word ^= mt[1 << b, np.bitwise_xor.reduce(G[(msg >> b) & 1 == 1], axis=0)]
+    return word
 
 
 def _symbols(spec: CodeSpec, values: Sequence[int] | np.ndarray, what: str) -> np.ndarray:

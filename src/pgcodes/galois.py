@@ -72,6 +72,7 @@ class GF:
         self._exp = exp
         self._log = log
         self._mul_table: np.ndarray | None = None
+        self._inv_table: np.ndarray | None = None
 
     def __repr__(self) -> str:
         return f"GF(2^{self.m}, poly=0x{self.reduction_poly:X})"
@@ -125,15 +126,27 @@ class GF:
         the scalar routines.
         """
         if self._mul_table is None:
-            if self.q > 256:
-                raise ValueError("dense multiplication table limited to m <= 8")
-            logs = np.array(self._log, dtype=np.int64)
-            exps = np.array(self._exp[: self.order], dtype=np.uint8)
-            table = np.zeros((self.q, self.q), dtype=np.uint8)
-            idx = (logs[1:, None] + logs[None, 1:]) % self.order
-            table[1:, 1:] = exps[idx]
-            self._mul_table = table
+            self._build_tables()
         return self._mul_table
+
+    @property
+    def inv_table(self) -> np.ndarray:
+        """(q,) inverse lookup table, with inv_table[0] = 0 so that masked
+        zero entries can be looked up too. Same m <= 8 limit as mul_table."""
+        if self._inv_table is None:
+            self._build_tables()
+        return self._inv_table
+
+    def _build_tables(self) -> None:
+        if self.q > 256:
+            raise ValueError("dense multiplication table limited to m <= 8")
+        logs = np.array(self._log, dtype=np.int64)
+        exps = np.array(self._exp[: self.order], dtype=np.uint8)
+        table = np.zeros((self.q, self.q), dtype=np.uint8)
+        table[1:, 1:] = exps[(logs[1:, None] + logs[None, 1:]) % self.order]
+        inv = exps[-logs % self.order]
+        inv[0] = 0
+        self._mul_table, self._inv_table = table, inv
 
     # ------------------------------------------------------------------
     # polynomial arithmetic (lowest-degree coefficient first)

@@ -92,9 +92,6 @@ class RsParams:
         # chien_matrix[j, t] = alpha^(-j*t): evaluation at alpha^(-j), the
         # inverse locator of position j.
         self._chien_matrix = exp[-j[:, None] * np.arange(self.two_t + 1) % f.order]
-        # inv[a] = a^-1, with inv[0] = 0 so that masked rows can be looked up.
-        self._inv = exp[-np.array(f._log) % f.order]
-        self._inv[0] = 0
 
     def __repr__(self) -> str:
         return f"RsParams(n={self.n}, k={self.k}, epsilon={self.epsilon})"
@@ -219,6 +216,7 @@ def _correct(
     mask of rows that passed every check.
     """
     mt = params.field.mul_table
+    inv = params.field.inv_table
     two_t = params.two_t
     B = work.shape[0]
 
@@ -257,7 +255,7 @@ def _correct(
         delta = np.bitwise_xor.reduce(mt[cur, masked[:, k]], axis=1)
         prev = np.where(active[:, k, None], buf[:, :-1], buf[:, 1:])
         swap = (delta != 0) & (2 * length <= n_erased + k)
-        buf[:, 1:] = np.where(swap[:, None], mt[cur, params._inv[delta][:, None]], prev)
+        buf[:, 1:] = np.where(swap[:, None], mt[cur, inv[delta][:, None]], prev)
         cur = cur ^ mt[delta[:, None], prev]
         length = np.where(swap, n_erased + k + 1 - length, length)
 
@@ -283,7 +281,7 @@ def _correct(
     denom = np.bitwise_xor.reduce(mt[x_inv, deriv[root_row]], axis=1)
     ok[root_row[denom == 0]] = False
     fixed = work.copy()
-    fixed[root_row, root_pos] ^= mt[num, params._inv[denom]]
+    fixed[root_row, root_pos] ^= mt[num, inv[denom]]
 
     live = np.nonzero(ok)[0]
     ok[live] = ~params.batch_syndromes(fixed[live]).any(axis=1)
@@ -293,10 +291,15 @@ def _correct(
 def _check_symbols(
     params: RsParams, word: Sequence[int], expected_len: int, what: str
 ) -> list[int]:
-    word = [int(c) for c in word]
-    if len(word) != expected_len:
-        raise ValueError(f"{what} must have {expected_len} symbols, got {len(word)}")
-    for c in word:
-        if not 0 <= c < params.field.q:
-            raise ValueError(f"{what} symbol {c} outside GF(2^{params.field.m})")
-    return word
+    """word as a list of ints; ValueError unless it has expected_len integer
+    symbols in [0, q). Floats and bools are rejected, not truncated."""
+    arr = np.asarray(word)
+    if arr.ndim != 1 or arr.shape[0] != expected_len:
+        raise ValueError(f"{what} must have {expected_len} symbols, got {arr.shape}")
+    if arr.size and (
+        not np.issubdtype(arr.dtype, np.integer)
+        or arr.min() < 0
+        or arr.max() >= params.field.q
+    ):
+        raise ValueError(f"{what} symbols must be integers in GF(2^{params.field.m})")
+    return arr.tolist()

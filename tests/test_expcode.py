@@ -2,9 +2,12 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import gf_oracle
 from pgcodes.expcode import (
     CodeSpec,
+    _row_reduce,
     all_components_valid,
     apply_pattern,
     build_parity,
@@ -18,6 +21,7 @@ from pgcodes.expcode import (
     word_to_hex,
     write_matrix_hex,
 )
+from pgcodes.galois import GF
 from pgcodes.prng import SplitMix64, substream
 
 
@@ -56,8 +60,6 @@ def test_parity_shape_and_rank_eps7(spec7):
 
 def test_rank_matches_transposed_elimination(field8):
     # independent elimination route over H^T must agree on the rank
-    from pgcodes.expcode import _row_reduce
-
     spec3 = CodeSpec(3, field=field8)
     H = spec3.parity_matrix
     _, pivots = _row_reduce(field8, H)
@@ -363,3 +365,76 @@ def test_component_constraint_equals_parity_row(spec5):
     for v in (0, 30, 62):
         w = cw[spec5.graph.point_edge_idx[v]].tolist()
         assert spec5.rs.syndromes(w) == [0] * 4
+
+
+@pytest.fixture(scope="module")
+def specs(field8, spec5, spec7):
+    return {3: CodeSpec(3, field=field8), 5: spec5, 7: spec7, 9: CodeSpec(9, field=field8)}
+
+
+@st.composite
+def messages(draw, k):
+    """k symbols: uniform, one constant value, or a few values (0 and 255 included)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["uniform", "constant", "few"]))
+    if kind == "uniform":
+        return rng.integers(0, 256, k, dtype=np.uint8)
+    if kind == "constant":
+        return np.full(k, draw(st.sampled_from([0, 1, 255]) | st.integers(0, 255)), np.uint8)
+    values = draw(st.lists(st.integers(0, 255) | st.sampled_from([0, 255]), min_size=2, max_size=3))
+    return np.array(values, dtype=np.uint8)[rng.integers(0, len(values), k)]
+
+
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_encode_matches_gather_oracle(specs, data):
+    spec = specs[data.draw(st.sampled_from(sorted(specs)))]
+    msg = data.draw(messages(spec.k_overall))
+    expected = gf_oracle.encode(spec.field, msg, spec.generator_matrix)
+    assert np.array_equal(encode(spec, msg), expected)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    rows=st.integers(0, 40),
+    cols=st.integers(1, 80),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_encode_explicit_generator_matches_gather_oracle(spec5, rows, cols, seed, data):
+    G = np.random.default_rng(seed).integers(0, 256, (rows, cols), dtype=np.uint8)
+    msg = data.draw(messages(rows))
+    expected = gf_oracle.encode(spec5.field, msg, G)
+    assert np.array_equal(encode(spec5, msg, generator=G), expected)
+
+
+@st.composite
+def reducible_matrices(draw):
+    """(field, matrix) over GF(8) or GF(256), often rank-deficient."""
+    field = GF(draw(st.sampled_from([3, 8])))
+    n_rows, n_cols = draw(st.integers(1, 10)), draw(st.integers(1, 14))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.15, 0.5, 1.0]))
+    A = rng.integers(0, field.q, (n_rows, n_cols)) * (rng.random((n_rows, n_cols)) < density)
+    A = A.astype(np.uint8)
+    row, col = st.integers(0, n_rows - 1), st.integers(0, n_cols - 1)
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["repeat", "combine", "zero column"]))
+        i, j, k = draw(row), draw(row), draw(row)
+        if kind == "repeat":
+            A[i] = A[j]
+        elif kind == "combine":
+            A[i] = field.mul_table[draw(st.integers(1, field.q - 1)), A[j]] ^ A[k]
+        else:
+            A[:, draw(col)] = 0
+    return field, A
+
+
+@settings(deadline=None, max_examples=200)
+@given(case=reducible_matrices())
+def test_row_reduce_matches_gather_oracle(case):
+    field, A = case
+    rre, pivots = _row_reduce(field, A)
+    expected_rre, expected_pivots = gf_oracle.row_reduce(field, A)
+    assert pivots == expected_pivots
+    assert np.array_equal(rre, expected_rre)

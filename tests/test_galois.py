@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -109,6 +110,16 @@ def test_mul_table_matches_scalar(field8):
     for a in (0, 1, 2, 0x53, 0xFF):
         for b in (0, 7, 0x80, 0xFF):
             assert int(t[a, b]) == field8.mul(a, b)
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 8])
+def test_inv_table_inverts_every_nonzero_element(m):
+    f = GF(m)
+    inv = f.inv_table
+    assert inv.shape == (f.q,) and inv[0] == 0
+    a = np.arange(1, f.q)
+    assert (f.mul_table[a, inv[a]] == 1).all()
+    assert inv[1:].tolist() == [f.inv(int(v)) for v in a]
 
 
 def test_poly_eval(field8):

@@ -54,6 +54,37 @@ def test_encode_wrong_length(rs7):
         rs_encode(rs7, [256] + [0] * 24)
 
 
+@pytest.mark.parametrize(
+    "call, word",
+    [
+        ("decode", [1.5] + [0] * 30),
+        ("decode", np.array([1.0] * 31)),
+        ("decode", np.zeros(31, dtype=bool)),
+        ("decode", [True] * 31),
+        ("encode", [2.7] + [0] * 24),
+        ("encode", np.zeros(25, dtype=np.float32)),
+        ("encode", np.ones(25, dtype=bool)),
+    ],
+    ids=[
+        "decode-float-list",
+        "decode-float-array",
+        "decode-bool-array",
+        "decode-bool-list",
+        "encode-float-list",
+        "encode-float32-array",
+        "encode-bool-array",
+    ],
+)
+def test_non_integer_symbols_rejected(rs7, call, word):
+    # Floats and bools used to be truncated by int(): [1.5] + [0] * 30
+    # decoded as CORRECTED with one error, and 2.7 was encoded as 2.
+    with pytest.raises(ValueError):
+        if call == "decode":
+            rs_decode(rs7, word)
+        else:
+            rs_encode(rs7, word)
+
+
 def test_parity_matches_polynomial_division_oracle(rs7):
     f = rs7.field
     rng = SplitMix64(17)
