@@ -166,7 +166,9 @@ def derive_generator(spec: CodeSpec, parity: np.ndarray | None = None) -> np.nda
     rre, pivots = _row_reduce(spec.field, H)
     rank = len(pivots)
     n = H.shape[1]
-    free = np.setdiff1d(np.arange(n), pivots)
+    is_free = np.ones(n, dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
     G = np.zeros((len(free), n), dtype=np.uint8)
     G[np.arange(len(free)), free] = 1
     G[:, pivots] = rre[:rank, free].T
