@@ -160,9 +160,10 @@ def derive_generator(spec: CodeSpec, parity: np.ndarray | None = None) -> np.nda
     For each non-pivot column f the generator gets a row with 1 at f and the
     RRE entries of column f at the pivot columns; rows are independent by the
     unit coordinates and orthogonal to H by construction. Also records
-    rank(H) on the spec.
+    rank(H) on the spec. H is not cached on the spec: decoding never reads
+    it, and it would stay resident next to G.
     """
-    H = spec.parity_matrix if parity is None else parity
+    H = build_parity(spec) if parity is None else parity
     rre, pivots = _row_reduce(spec.field, H)
     rank = len(pivots)
     n = H.shape[1]
