@@ -222,7 +222,7 @@ def encode(
     symbol has bit b set, and the codeword is the XOR of x^b times plane b.
     """
     G = spec.generator_matrix if generator is None else generator
-    msg = _symbols(spec, message, "message")
+    msg = spec.field.symbols(message, "message")
     if msg.ndim != 1 or msg.shape[0] != G.shape[0]:
         raise ValueError(f"message must have {G.shape[0]} symbols, got {msg.shape}")
     mt = spec.field.mul_table
@@ -230,18 +230,6 @@ def encode(
     for b in range(spec.field.m):
         word ^= mt[1 << b, np.bitwise_xor.reduce(G[(msg >> b) & 1 == 1], axis=0)]
     return word
-
-
-def _symbols(spec: CodeSpec, values: Sequence[int] | np.ndarray, what: str) -> np.ndarray:
-    """values as a new uint8 array; ValueError unless every entry is an integer in [0, q)."""
-    arr = np.asarray(values)
-    if arr.size and (
-        not np.issubdtype(arr.dtype, np.integer)
-        or arr.min() < 0
-        or arr.max() >= spec.field.q
-    ):
-        raise ValueError(f"{what} symbols must be integers in [0, {spec.field.q})")
-    return arr.astype(np.uint8)
 
 
 def side_words(spec: CodeSpec, word: np.ndarray, side: str) -> np.ndarray:
@@ -316,7 +304,7 @@ def decode_words(
     limit = spec.max_iterations if max_iterations is None else max_iterations
     if limit < 1:
         raise ValueError(f"need at least one iteration, got {limit}")
-    word = _symbols(spec, words, "received word")
+    word = spec.field.symbols(words, "received word")
     if word.ndim != 2 or word.shape[1] != spec.n_symbols:
         raise ValueError(f"received words must have {spec.n_symbols} symbols each")
     n_words = word.shape[0]

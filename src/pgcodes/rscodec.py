@@ -291,15 +291,7 @@ def _correct(
 def _check_symbols(
     params: RsParams, word: Sequence[int], expected_len: int, what: str
 ) -> list[int]:
-    """word as a list of ints; ValueError unless it has expected_len integer
-    symbols in [0, q). Floats and bools are rejected, not truncated."""
-    arr = np.asarray(word)
-    if arr.ndim != 1 or arr.shape[0] != expected_len:
+    arr = params.field.symbols(word, what)
+    if arr.shape != (expected_len,):
         raise ValueError(f"{what} must have {expected_len} symbols, got {arr.shape}")
-    if arr.size and (
-        not np.issubdtype(arr.dtype, np.integer)
-        or arr.min() < 0
-        or arr.max() >= params.field.q
-    ):
-        raise ValueError(f"{what} symbols must be integers in GF(2^{params.field.m})")
     return arr.tolist()

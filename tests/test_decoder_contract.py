@@ -7,15 +7,9 @@ counterexample to any of these properties is a decoder fault.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from pgcodes.expcode import all_components_valid, encode, iterative_decode
-
-
-@pytest.fixture(scope="module")
-def specs(spec5, spec7):
-    return {5: spec5, 7: spec7}
 
 
 @st.composite

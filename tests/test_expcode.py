@@ -367,11 +367,6 @@ def test_component_constraint_equals_parity_row(spec5):
         assert spec5.rs.syndromes(w) == [0] * 4
 
 
-@pytest.fixture(scope="module")
-def specs(field8, spec5, spec7):
-    return {3: CodeSpec(3, field=field8), 5: spec5, 7: spec7, 9: CodeSpec(9, field=field8)}
-
-
 @st.composite
 def messages(draw, k):
     """k symbols: uniform, one constant value, or a few values (0 and 255 included)."""
@@ -388,7 +383,7 @@ def messages(draw, k):
 @settings(deadline=None, max_examples=40)
 @given(data=st.data())
 def test_encode_matches_gather_oracle(specs, data):
-    spec = specs[data.draw(st.sampled_from(sorted(specs)))]
+    spec = specs[data.draw(st.sampled_from([3, 5, 7, 9]))]
     msg = data.draw(messages(spec.k_overall))
     expected = gf_oracle.encode(spec.field, msg, spec.generator_matrix)
     assert np.array_equal(encode(spec, msg), expected)

@@ -15,7 +15,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from pgcodes.expcode import CodeSpec, build_parity, encode, iterative_decode
+from pgcodes.expcode import build_parity, encode, iterative_decode
 from pgcodes.prng import SplitMix64, substream
 from pgcodes.simlab import TrialConfig, run_burst, run_interleaved, run_random
 
@@ -31,14 +31,6 @@ def _report_payload(report) -> dict:
         "per_iteration": [asdict(r) for r in report.per_iteration],
         "final_word": report.final_word.tobytes().hex(),
     }
-
-
-@pytest.fixture(scope="module")
-def specs(field8, spec5, spec7):
-    out = {5: spec5, 7: spec7}
-    for eps in (3, 9, 11, 13, 15):
-        out[eps] = CodeSpec(eps, field=field8)
-    return out
 
 
 # (driver, k, epsilon, weight, rounds, seed, digest); k is the interleaving
