@@ -369,14 +369,15 @@ def test_component_constraint_equals_parity_row(spec5):
 
 @st.composite
 def messages(draw, k):
-    """k symbols: uniform, one constant value, or a few values (0 and 255 included)."""
+    """k symbols: uniform, one constant value, or a mix of two or three values."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["uniform", "constant", "few"]))
     if kind == "uniform":
         return rng.integers(0, 256, k, dtype=np.uint8)
     if kind == "constant":
         return np.full(k, draw(st.sampled_from([0, 1, 255]) | st.integers(0, 255)), np.uint8)
-    values = draw(st.lists(st.integers(0, 255) | st.sampled_from([0, 255]), min_size=2, max_size=3))
+    value = st.sampled_from([0, 255]) | st.integers(0, 255)
+    values = draw(st.lists(value, min_size=2, max_size=3))
     return np.array(values, dtype=np.uint8)[rng.integers(0, len(values), k)]
 
 
