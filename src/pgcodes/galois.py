@@ -149,8 +149,8 @@ class GF:
         self._mul_table, self._inv_table = table, inv
 
     def symbols(self, values: Sequence[int] | np.ndarray, what: str) -> np.ndarray:
-        """values as a new uint8 array; ValueError unless every entry is an
-        integer in [0, q). Floats and bools are rejected, not truncated."""
+        """values as a new uint8 array (m <= 8); ValueError unless every entry
+        is an integer in [0, q). Floats and bools are rejected, not truncated."""
         arr = np.asarray(values)
         if arr.size and (
             not np.issubdtype(arr.dtype, np.integer) or arr.min() < 0 or arr.max() >= self.q
