@@ -3,9 +3,9 @@
 Polynomials are lists of field elements, lowest-degree coefficient first,
 as in pgcodes.galois. The library itself never divides, adds or normalises
 polynomials: its RS encoder is an LFSR and its decoder a numpy kernel.
-test_rscodec checks the encoder's parity symbols against the remainder
-computed here, and rs_oracle's scalar decoder builds on poly_add and
-poly_norm.
+test_rscodec checks the encoder's parity symbols against the remainder of
+division by generator_poly computed here, and rs_oracle's scalar decoder
+builds on poly_add and poly_norm.
 """
 
 from __future__ import annotations
@@ -52,3 +52,11 @@ def poly_divmod(
                 r[shift + i] ^= field.mul(dc, c)
         r = poly_norm(r)
     return quot, r
+
+
+def generator_poly(field: GF, two_t: int) -> list[int]:
+    """g(x) = prod_{i=1..2t} (x - alpha^i), monic, lowest-degree coefficient first."""
+    g = [1]
+    for i in range(1, two_t + 1):
+        g = field.poly_mul(g, [field.exp_alpha(i), 1])
+    return g

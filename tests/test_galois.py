@@ -38,11 +38,14 @@ def test_mul_matches_shift_reduce_oracle_exhaustively(field8):
 
 
 def test_pow_and_group_order(field8):
-    assert field8.pow(0x02, 255) == 0x01
-    assert field8.pow(0x02, 0) == 0x01
-    assert field8.pow(0x00, 3) == 0x00
-    seen = {field8.pow(0x02, k) for k in range(255)}
-    assert seen == set(range(1, 256))
+    # alpha = 2 generates the multiplicative group: its powers, by repeated
+    # mul, run through every nonzero element once and return to 1 at 255.
+    powers = [1]
+    for _ in range(255):
+        powers.append(field8.mul(powers[-1], 0x02))
+    assert powers[255] == 0x01
+    assert sorted(powers[:255]) == list(range(1, 256))
+    assert powers == [field8.exp_alpha(k) for k in range(256)]
 
 
 def test_inverse(field8):

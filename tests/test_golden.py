@@ -3,9 +3,9 @@
 The digests were recorded from the implementation before the Monte Carlo
 drivers were merged into one loop and the erasure bookkeeping moved to a
 precomputed index; the generator and encode digests were recorded from the
-gather-formula encoder and row reduction. Any change
-to them means the outputs for fixed seeds changed, which those refactors must
-not do.
+gather-formula encoder and row reduction, and the rs_encode digests from the
+shift-register encoder. Any change to them means the outputs for fixed seeds
+changed, which those refactors must not do.
 """
 
 import hashlib
@@ -17,6 +17,7 @@ import pytest
 
 from pgcodes.expcode import build_parity, encode, iterative_decode
 from pgcodes.prng import SplitMix64, substream
+from pgcodes.rscodec import RsParams, rs_encode
 from pgcodes.simlab import TrialConfig, run_burst, run_interleaved, run_random
 
 
@@ -172,3 +173,53 @@ def test_encode_digest(specs, message, expected):
         rng = SplitMix64(507)
         msg = np.array([rng.below(256) for _ in range(k)], dtype=np.uint8)
     assert hashlib.sha256(encode(spec, msg).tobytes()).hexdigest() == expected
+
+
+# (all-zero, all-255, splitmix64 seeded 600 + epsilon) message digests. The
+# all-zero codeword is 31 zero bytes at every epsilon.
+RS_ENCODE_DIGESTS = {
+    3: (
+        "fd08be957bda07dc529ad8100df732f9ce12ae3e42bcda6acabe12c02dfd6989",
+        "8d047ce9ef7443b2ead5bc082016e01458085e0408547a54df6852ed28665bdc",
+        "a2a2d1bcc9f84ab83530a072624d5a071b170e62a3eb7d49d1568caa1a3d09c2",
+    ),
+    5: (
+        "fd08be957bda07dc529ad8100df732f9ce12ae3e42bcda6acabe12c02dfd6989",
+        "e837c3fe4bcc968f7e9c55b6dd4a7a349fca343ca2867466067553d341fd0a5b",
+        "746072c02f766bd6bc864b8b01c7ee64a13b7ebb9dc8b55f744e016f0a58f4f1",
+    ),
+    7: (
+        "fd08be957bda07dc529ad8100df732f9ce12ae3e42bcda6acabe12c02dfd6989",
+        "a02c97ecf69249203ba861208597c12dcf97178f146f0e58d0c846486b7223df",
+        "8e832887793bedae8415957f9425f8f7a3d060b9797e4c7858a4d3d98e2a0f67",
+    ),
+    9: (
+        "fd08be957bda07dc529ad8100df732f9ce12ae3e42bcda6acabe12c02dfd6989",
+        "a9c688ecb89786f2f164d194f6754fe51f1d5ed0ef0cccbb189c5388e014f4da",
+        "7f13e49d709e6668ffa1aacc1062ca3581b6069554a16d58763cc042033fea66",
+    ),
+    11: (
+        "fd08be957bda07dc529ad8100df732f9ce12ae3e42bcda6acabe12c02dfd6989",
+        "df443259699758bacdd8a61d4ee096658b557458f5c493714920273a1b6322f3",
+        "1577ce4e6126b8d86ac783984fb314c391d7a955167ce6649505349f60d6d2bf",
+    ),
+    13: (
+        "fd08be957bda07dc529ad8100df732f9ce12ae3e42bcda6acabe12c02dfd6989",
+        "3417d887e65b4fe9ef74b84edae7184ed689a726de6052bc0bc1826570e2f248",
+        "be6a3eec62cc8ebc817fa0f13dad1892b7d31a56848389a38ee62ca660c100f9",
+    ),
+    15: (
+        "fd08be957bda07dc529ad8100df732f9ce12ae3e42bcda6acabe12c02dfd6989",
+        "5f4abbea27109fd8ffe2b84dd7c0e8357ffa7a175e8098592568de3433a5007d",
+        "c43ef924f7be2be0059856278d17730f41a5b065c2e86cb0d4ba74f8ee2b7565",
+    ),
+}
+
+
+@pytest.mark.parametrize("epsilon", sorted(RS_ENCODE_DIGESTS))
+def test_rs_encode_digest(epsilon):
+    p = RsParams(31, epsilon)
+    rng = SplitMix64(600 + epsilon)
+    messages = ([0] * p.k, [255] * p.k, [rng.below(256) for _ in range(p.k)])
+    got = tuple(hashlib.sha256(bytes(rs_encode(p, m))).hexdigest() for m in messages)
+    assert got == RS_ENCODE_DIGESTS[epsilon]

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 import rs_oracle
 from pgcodes.prng import SplitMix64
 from pgcodes.rscodec import RsParams, RsStatus, decode_batch, rs_decode, rs_encode
-from poly_oracle import poly_divmod
+from poly_oracle import generator_poly, poly_divmod
 
 EPSILONS = [3, 5, 7, 9, 11, 13, 15]
 
@@ -30,9 +30,10 @@ def test_params():
 
 def test_generator_poly_has_consecutive_roots(rs7):
     f = rs7.field
+    g = generator_poly(f, rs7.two_t)
     for i in range(1, 7):
-        assert f.poly_eval(rs7.generator_poly, f.exp_alpha(i)) == 0
-    assert f.poly_eval(rs7.generator_poly, f.exp_alpha(7)) != 0
+        assert f.poly_eval(g, f.exp_alpha(i)) == 0
+    assert f.poly_eval(g, f.exp_alpha(7)) != 0
 
 
 def test_encode_zero_message(rs7):
@@ -85,16 +86,18 @@ def test_non_integer_symbols_rejected(rs7, call, word):
             rs_encode(rs7, word)
 
 
-def test_parity_matches_polynomial_division_oracle(rs7):
-    f = rs7.field
-    rng = SplitMix64(17)
-    for _ in range(50):
-        msg = [rng.below(256) for _ in range(25)]
-        cw = rs_encode(rs7, msg)
-        shifted = [0] * 6 + msg
-        _, rem = poly_divmod(f, shifted, rs7.generator_poly)
-        rem = rem + [0] * (6 - len(rem))
-        assert cw[:6] == rem
+@settings(deadline=None, max_examples=150)
+@given(data=st.data())
+def test_parity_matches_polynomial_division_oracle(data):
+    # The parity symbols are m(x) x^(2t) mod g(x), at every design distance,
+    # for uniform messages and for messages of two or three values.
+    p = RsParams(31, data.draw(st.sampled_from(EPSILONS)))
+    few = [st.sampled_from([0, 255]), st.sampled_from([0, 1, 0x8E])]
+    values = data.draw(st.sampled_from([st.integers(0, 255), *few]))
+    msg = data.draw(st.lists(values, min_size=p.k, max_size=p.k))
+    cw = rs_encode(p, msg)
+    _, rem = poly_divmod(p.field, [0] * p.two_t + msg, generator_poly(p.field, p.two_t))
+    assert cw == rem + [0] * (p.two_t - len(rem)) + msg
 
 
 def test_three_error_correction(rs7):
