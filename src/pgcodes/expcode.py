@@ -19,6 +19,7 @@ one word.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -27,7 +28,7 @@ from pgcodes.galois import GF
 from pgcodes.projgeom import Flat
 # Decoding here goes through decode_batch. rs_decode is imported only because
 # the benchmark's tracer (bench/run.py) wraps expcode.rs_decode by name.
-from pgcodes.rscodec import RsParams, decode_batch, rs_decode  # noqa: F401
+from pgcodes.rscodec import RsParams, decode_batch, integer_indices, rs_decode  # noqa: F401
 from pgcodes.tanner import TannerGraph, build_graph
 
 POINT_SIDE = "points"
@@ -96,9 +97,6 @@ class CodeSpec:
             raise ValueError("component block length must equal the graph degree")
         self.n_symbols = self.graph.n_edges
         self.max_iterations = max_iterations
-        self._parity: np.ndarray | None = None
-        self._generator: np.ndarray | None = None
-        self._rank: int | None = None
 
     def __repr__(self) -> str:
         return (
@@ -110,27 +108,22 @@ class CodeSpec:
     def epsilon(self) -> int:
         return self.rs.epsilon
 
-    @property
+    @cached_property
     def parity_matrix(self) -> np.ndarray:
-        if self._parity is None:
-            self._parity = build_parity(self)
-        return self._parity
+        return build_parity(self)
 
-    @property
+    @cached_property
     def generator_matrix(self) -> np.ndarray:
-        if self._generator is None:
-            self._generator = derive_generator(self)
-        return self._generator
-
-    @property
-    def rank(self) -> int:
-        if self._rank is None:
-            self.generator_matrix
-        return self._rank
+        return derive_generator(self)
 
     @property
     def k_overall(self) -> int:
-        return self.n_symbols - self.rank
+        return self.generator_matrix.shape[0]
+
+    @property
+    def rank(self) -> int:
+        """rank(H), the number of independent parity checks."""
+        return self.n_symbols - self.k_overall
 
 
 def build_parity(spec: CodeSpec) -> np.ndarray:
@@ -154,63 +147,24 @@ def build_parity(spec: CodeSpec) -> np.ndarray:
     return H
 
 
-def derive_generator(spec: CodeSpec, parity: np.ndarray | None = None) -> np.ndarray:
+def derive_generator(spec: CodeSpec) -> np.ndarray:
     """Systematic generator: reduce H to RRE form and read off the null space.
 
     For each non-pivot column f the generator gets a row with 1 at f and the
     RRE entries of column f at the pivot columns; rows are independent by the
-    unit coordinates and orthogonal to H by construction. Also records
-    rank(H) on the spec. H is not cached on the spec: decoding never reads
-    it, and it would stay resident next to G.
+    unit coordinates and orthogonal to H by construction. H is built afresh,
+    not taken from the spec's cache: decoding never reads it, and it would
+    stay resident next to G.
     """
-    H = build_parity(spec) if parity is None else parity
-    rre, pivots = _row_reduce(spec.field, H)
-    rank = len(pivots)
-    n = H.shape[1]
-    is_free = np.ones(n, dtype=bool)
+    H = build_parity(spec)
+    rre, pivots = spec.field.row_reduce(H)
+    is_free = np.ones(H.shape[1], dtype=bool)
     is_free[pivots] = False
     free = np.flatnonzero(is_free)
-    G = np.zeros((len(free), n), dtype=np.uint8)
-    G[np.arange(len(free)), free] = 1
-    G[:, pivots] = rre[:rank, free].T
-    if parity is None:
-        spec._rank = rank
+    G = np.zeros((free.size, H.shape[1]), dtype=np.uint8)
+    G[np.arange(free.size), free] = 1
+    G[:, pivots] = rre[: len(pivots), free].T
     return G
-
-
-def _row_reduce(field: GF, M: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over GF(2^m), row updates by bit planes.
-
-    At pivot (r, c) the pivot row is zero left of c, so only columns c: move.
-    A row with coefficient v there takes the XOR of x^b times the pivot row
-    over the bits b of v: m products per pivot instead of one per entry.
-    """
-    A = M.copy()
-    mt = field.mul_table
-    x_b = 1 << np.arange(field.m)
-    n_rows, n_cols = A.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(n_cols):
-        nz = np.nonzero(A[r:, c])[0]
-        if nz.size == 0:
-            continue
-        p = r + nz[0]
-        if p != r:
-            A[[r, p]] = A[[p, r]]
-        A[r, c:] = mt[field.inv_table[A[r, c]], A[r, c:]]
-        coef = A[:, c].copy()
-        coef[r] = 0
-        planes = mt[x_b[:, None], A[r, c:]]
-        for b in range(field.m):
-            rows = np.nonzero(coef & x_b[b])[0]
-            if rows.size:
-                A[rows, c:] ^= planes[b]
-        pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    return A, pivots
 
 
 def encode(
@@ -275,15 +229,9 @@ def iterative_decode(
     Decoding never raises on bad data: failure is a report state. This is
     decode_words on a batch of one word.
     """
-    labels = np.asarray(erasures if isinstance(erasures, np.ndarray) else list(erasures))
-    if labels.size and (
-        not np.issubdtype(labels.dtype, np.integer)
-        or labels.min() < 1
-        or labels.max() > spec.n_symbols
-    ):
-        raise ValueError(f"erasure labels must be integers in [1, {spec.n_symbols}]")
+    labels = integer_indices(erasures, 1, spec.n_symbols, "erasure labels")
     erased = np.zeros((1, spec.n_symbols), dtype=bool)
-    erased[0, labels.astype(np.intp).reshape(-1) - 1] = True
+    erased[0, labels - 1] = True
     return decode_words(spec, np.reshape(received, (1, -1)), erased, max_iterations)[0]
 
 
@@ -307,6 +255,8 @@ def decode_words(
     word = spec.field.symbols(words, "received word")
     if word.ndim != 2 or word.shape[1] != spec.n_symbols:
         raise ValueError(f"received words must have {spec.n_symbols} symbols each")
+    if erased is not None and np.shape(erased) != word.shape:
+        raise ValueError(f"erasure mask has shape {np.shape(erased)}, words {word.shape}")
     n_words = word.shape[0]
     pending = np.zeros(word.shape, dtype=bool) if erased is None else erased.astype(bool)
     reports: list[list[SideReport]] = [[] for _ in range(n_words)]

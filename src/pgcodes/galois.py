@@ -1,8 +1,10 @@
 """Arithmetic over GF(2^m) and polynomials with coefficients in the field.
 
 Field elements are plain ints in [0, 2^m - 1]: bit i is the coefficient of
-x^i in the polynomial basis. Polynomials over the field are lists of ints,
-lowest-degree coefficient first; the zero polynomial is the empty list.
+x^i in the polynomial basis, so addition is bitwise XOR. Polynomials over
+the field are lists of ints, lowest-degree coefficient first; the zero
+polynomial is the empty list. Matrices are uint8 arrays (m <= 8), reduced
+by GF.row_reduce.
 """
 
 from __future__ import annotations
@@ -80,39 +82,15 @@ class GF:
     # ------------------------------------------------------------------
     # element arithmetic
 
-    @staticmethod
-    def add(a: int, b: int) -> int:
-        """Characteristic-2 addition (bitwise XOR); every element is its own negative."""
-        return a ^ b
-
-    sub = add
-
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
         return self._exp[self._log[a] + self._log[b]]
 
-    def div(self, a: int, b: int) -> int:
-        if b == 0:
-            raise ZeroDivisionError("division by zero in GF(2^m)")
-        if a == 0:
-            return 0
-        return self._exp[self._log[a] - self._log[b] + self.order]
-
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("zero has no multiplicative inverse")
         return self._exp[self.order - self._log[a]]
-
-    def pow(self, a: int, e: int) -> int:
-        """a**e with exponents reduced mod the group order; negative e inverts."""
-        if a == 0:
-            if e == 0:
-                return 1
-            if e < 0:
-                raise ZeroDivisionError("zero has no negative powers")
-            return 0
-        return self._exp[(self._log[a] * e) % self.order]
 
     def exp_alpha(self, i: int) -> int:
         """alpha**i for any integer i."""
@@ -159,7 +137,46 @@ class GF:
         return arr.astype(np.uint8)
 
     # ------------------------------------------------------------------
-    # polynomial arithmetic (lowest-degree coefficient first)
+    # linear algebra (m <= 8)
+
+    def row_reduce(self, M: np.ndarray) -> tuple[np.ndarray, list[int]]:
+        """Reduced row echelon form over GF(2^m), row updates by bit planes.
+
+        At pivot (r, c) the pivot row is zero left of c, so only columns c: move.
+        A row with coefficient v there takes the XOR of x^b times the pivot row
+        over the bits b of v: m products per pivot instead of one per entry.
+        """
+        A = M.copy()
+        mt = self.mul_table
+        x_b = 1 << np.arange(self.m)
+        n_rows, n_cols = A.shape
+        pivots: list[int] = []
+        r = 0
+        for c in range(n_cols):
+            nz = np.nonzero(A[r:, c])[0]
+            if nz.size == 0:
+                continue
+            p = r + nz[0]
+            if p != r:
+                A[[r, p]] = A[[p, r]]
+            A[r, c:] = mt[self.inv_table[A[r, c]], A[r, c:]]
+            coef = A[:, c].copy()
+            coef[r] = 0
+            planes = mt[x_b[:, None], A[r, c:]]
+            for b in range(self.m):
+                rows = np.nonzero(coef & x_b[b])[0]
+                if rows.size:
+                    A[rows, c:] ^= planes[b]
+            pivots.append(c)
+            r += 1
+            if r == n_rows:
+                break
+        return A, pivots
+
+    # ------------------------------------------------------------------
+    # polynomial arithmetic (lowest-degree coefficient first). Nothing in the
+    # library calls it: the scalar oracles in tests/ do, and the benchmark's
+    # tracer (bench/run.py) counts calls of mul, poly_mul and poly_eval by name.
 
     def poly_mul(self, p: Sequence[int], q: Sequence[int]) -> list[int]:
         if not p or not q:

@@ -4,7 +4,9 @@ The component code of the graph code is the (255, 255-(epsilon-1)) parent
 code over GF(256) shortened to its first n symbols: word position j carries
 the coefficient of x^j, positions n..254 are virtual zeros, and a word is a
 codeword iff its syndromes S_i = sum_j c_j * alpha^(i*j) vanish for
-i = 1..epsilon-1 (consecutive roots starting at alpha^1).
+i = 1..epsilon-1 (consecutive roots starting at alpha^1). Those syndrome
+functionals are the only description of the code: rs_encode reads its
+systematic parity off their reduced row echelon form.
 
 There is one decoder, decode_batch, which runs errors-and-erasures decoding
 on a batch of words in lockstep: every step (erasure locator, a fixed 2t
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -59,8 +62,10 @@ class RsOutcome:
 class RsParams:
     """Parameters and precomputed tables of one shortened RS code.
 
-    Immutable after construction; decoding touches no shared mutable state,
-    so any number of decodes may run concurrently against one instance.
+    Immutable after construction, apart from the encoder's table, which the
+    first encode builds (a race builds it twice, with equal results);
+    decoding touches no shared mutable state, so any number of decodes may
+    run concurrently against one instance.
     """
 
     def __init__(self, n: int = 31, epsilon: int = 7, field: GF | None = None):
@@ -79,12 +84,6 @@ class RsParams:
         self.two_t = epsilon - 1
 
         f = self.field
-        # g(x) = prod_{i=1..2t} (x - alpha^i), monic, lowest-first.
-        g = [1]
-        for i in range(1, self.two_t + 1):
-            g = f.poly_mul(g, [f.exp_alpha(i), 1])
-        self.generator_poly = g
-
         exp = np.array(f._exp[: f.order], dtype=np.uint8)
         j = np.arange(n)
         # power_matrix[i-1, j] = alpha^(i*j): the syndrome functionals.
@@ -95,6 +94,17 @@ class RsParams:
 
     def __repr__(self) -> str:
         return f"RsParams(n={self.n}, k={self.k}, epsilon={self.epsilon})"
+
+    @cached_property
+    def _unit_parity(self) -> np.ndarray:
+        """(k, 2t) parities of the unit messages, built on the first encode.
+
+        The syndrome functionals' first 2t columns form a Vandermonde block
+        A, so their RRE form is [I | A^-1 B] and a codeword (parity, message)
+        has parity = A^-1 B message: row i here is column i of A^-1 B.
+        """
+        rre, _ = self.field.row_reduce(self._power_matrix)
+        return rre[:, self.two_t :].T.copy()
 
     def syndromes(self, word: Sequence[int]) -> list[int]:
         """S_i = sum_j word[j] * alpha^(i*j) for i = 1..epsilon-1."""
@@ -116,53 +126,35 @@ class RsParams:
 def rs_encode(params: RsParams, message: Sequence[int]) -> list[int]:
     """Systematic encoding: parity in positions 0..epsilon-2, message above.
 
-    The codeword polynomial is m(x)*x^(2t) + (m(x)*x^(2t) mod g(x)), computed
-    with the usual feedback shift register form of synthetic division.
+    The parity is the XOR over message symbols m_i of m_i times the parity
+    of unit message i, so every codeword has zero syndromes.
     """
-    message = _check_symbols(params, message, params.k, "message")
-    f = params.field
-    g = params.generator_poly
-    two_t = params.two_t
-    parity = [0] * two_t
-    for sym in reversed(message):
-        feedback = sym ^ parity[-1]
-        if feedback:
-            parity = [f.mul(feedback, g[0])] + [
-                parity[i - 1] ^ f.mul(feedback, g[i]) for i in range(1, two_t)
-            ]
-        else:
-            parity = [0] + parity[:-1]
-    return parity + list(message)
+    msg = _check_symbols(params, message, params.k, "message")
+    prods = params.field.mul_table[msg[:, None], params._unit_parity]
+    return np.bitwise_xor.reduce(prods, axis=0).tolist() + msg.tolist()
 
 
 def rs_decode(
-    params: RsParams,
-    received: Sequence[int],
-    erasures: Iterable[int] = (),
-    syndromes: Sequence[int] | None = None,
+    params: RsParams, received: Sequence[int], erasures: Iterable[int] = ()
 ) -> RsOutcome:
     """Bounded-distance errors-and-erasures decoding of one word.
 
     Corrects any pattern of e symbol errors and f declared erasures with
-    2e + f <= epsilon - 1. Precomputed syndromes of the received word may be
-    passed when there are no erasures to avoid recomputation.
+    2e + f <= epsilon - 1. Erasures are integer positions in [0, n).
 
     Calling with more than epsilon - 1 erasures is a domain error; every
     detected failure returns the input unchanged.
     """
     received = _check_symbols(params, received, params.n, "received word")
-    erasures = sorted(set(erasures))
-    if erasures and not (0 <= erasures[0] and erasures[-1] < params.n):
-        raise ValueError("erasure positions out of range")
+    erasures = np.unique(integer_indices(erasures, 0, params.n - 1, "erasure positions"))
     if len(erasures) > params.two_t:
         raise ValueError(f"at most {params.two_t} erasures are usable, got {len(erasures)}")
-    word = np.array([received], dtype=np.uint8)
+    word = received[None]
     erased = np.zeros(word.shape, dtype=bool)
     erased[0, erasures] = True
-    synd = None if syndromes is None else np.array([syndromes], dtype=np.uint8)
-    out, ok = decode_batch(params, word, erased, synd)
+    out, ok = decode_batch(params, word, erased)
     if not ok[0]:
-        return RsOutcome(RsStatus.FAILED, received, 0, len(erasures))
+        return RsOutcome(RsStatus.FAILED, received.tolist(), 0, len(erasures))
     corrected = int(np.count_nonzero((out[0] != word[0]) & ~erased[0]))
     return RsOutcome(RsStatus.CORRECTED, out[0].tolist(), corrected, len(erasures))
 
@@ -288,10 +280,21 @@ def _correct(
     return fixed, ok
 
 
+def integer_indices(values: Iterable[int], low: int, high: int, what: str) -> np.ndarray:
+    """values as a flat intp array; ValueError unless every entry is an
+    integer in [low, high]. Floats, bools and strings are rejected."""
+    arr = np.asarray(values if isinstance(values, np.ndarray) else list(values))
+    if arr.size and (
+        not np.issubdtype(arr.dtype, np.integer) or arr.min() < low or arr.max() > high
+    ):
+        raise ValueError(f"{what} must be integers in [{low}, {high}]")
+    return arr.astype(np.intp).reshape(-1)
+
+
 def _check_symbols(
     params: RsParams, word: Sequence[int], expected_len: int, what: str
-) -> list[int]:
+) -> np.ndarray:
     arr = params.field.symbols(word, what)
     if arr.shape != (expected_len,):
         raise ValueError(f"{what} must have {expected_len} symbols, got {arr.shape}")
-    return arr.tolist()
+    return arr

@@ -2,10 +2,11 @@
 
 Polynomials are lists of field elements, lowest-degree coefficient first,
 as in pgcodes.galois. The library itself never divides, adds or normalises
-polynomials: its RS encoder is an LFSR and its decoder a numpy kernel.
-test_rscodec checks the encoder's parity symbols against the remainder of
-division by generator_poly computed here, and rs_oracle's scalar decoder
-builds on poly_add and poly_norm.
+polynomials and builds no generator polynomial: its RS encoder reads the
+parity off the row-reduced syndrome functionals, and its decoder is a numpy
+kernel. test_rscodec checks the encoder's parity symbols against the
+remainder of division by generator_poly computed here, and rs_oracle's
+scalar decoder builds on poly_add and poly_norm.
 """
 
 from __future__ import annotations

@@ -79,7 +79,7 @@ def rs_decode(
         denom = f_.poly_eval(deriv, x_inv)
         if denom == 0:
             return _failed(received, n_erased)
-        candidate[j] ^= f_.div(f_.poly_eval(omega, x_inv), denom)
+        candidate[j] ^= f_.mul(f_.poly_eval(omega, x_inv), f_.inv(denom))
 
     if any(syndromes(params, candidate)):
         return _failed(received, n_erased)

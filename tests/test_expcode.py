@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 import gf_oracle
 from pgcodes.expcode import (
     CodeSpec,
-    _row_reduce,
     all_components_valid,
     apply_pattern,
     build_parity,
@@ -62,10 +61,9 @@ def test_rank_matches_transposed_elimination(field8):
     # independent elimination route over H^T must agree on the rank
     spec3 = CodeSpec(3, field=field8)
     H = spec3.parity_matrix
-    _, pivots = _row_reduce(field8, H)
-    _, pivots_t = _row_reduce(field8, H.T.copy())
+    _, pivots = field8.row_reduce(H)
+    _, pivots_t = field8.row_reduce(H.T.copy())
     assert len(pivots) == len(pivots_t)
-    spec3._rank = None
     assert spec3.rank == len(pivots)
 
 
@@ -229,6 +227,16 @@ def test_non_integer_erasure_labels_rejected(spec5, labels):
     word[0] = 5
     with pytest.raises(ValueError, match="erasure labels"):
         iterative_decode(spec5, word, erasures=labels)
+
+
+@pytest.mark.parametrize(
+    "shape", [(3, 1953), (1953,), (2, 5), (1, 1953)], ids=["extra-row", "flat", "short", "one-row"]
+)
+def test_decode_words_rejects_erasure_mask_of_another_shape(spec5, shape):
+    # A mask with an extra row used to be cut silently; others failed in numpy.
+    words = np.zeros((2, spec5.n_symbols), dtype=np.uint8)
+    with pytest.raises(ValueError, match="erasure mask"):
+        decode_words(spec5, words, np.zeros(shape, dtype=bool))
 
 
 @pytest.mark.parametrize("with_erasures", [False, True])
@@ -430,7 +438,7 @@ def reducible_matrices(draw):
 @given(case=reducible_matrices())
 def test_row_reduce_matches_gather_oracle(case):
     field, A = case
-    rre, pivots = _row_reduce(field, A)
+    rre, pivots = field.row_reduce(A)
     expected_rre, expected_pivots = gf_oracle.row_reduce(field, A)
     assert pivots == expected_pivots
     assert np.array_equal(rre, expected_rre)

@@ -19,12 +19,6 @@ def slow_mul(a: int, b: int, poly: int = 0x11D, m: int = 8) -> int:
     return r
 
 
-def test_add_examples(field8):
-    assert field8.add(0x53, 0x53) == 0x00
-    assert field8.add(0xA7, 0) == 0xA7
-    assert field8.add(0x01, 0x02) == 0x03
-
-
 def test_mul_examples(field8):
     assert field8.mul(0x02, 0x02) == 0x04
     assert field8.mul(0xC3, 0x01) == 0xC3
@@ -59,20 +53,6 @@ def test_inverse(field8):
         field8.inv(0)
 
 
-def test_div(field8):
-    for a in (0, 1, 0x53, 0xFF):
-        for b in (1, 2, 0x8E, 0xFF):
-            assert field8.mul(field8.div(a, b), b) == a
-    with pytest.raises(ZeroDivisionError):
-        field8.div(5, 0)
-
-
-def test_negative_pow(field8):
-    assert field8.pow(0x02, -1) == field8.inv(0x02)
-    with pytest.raises(ZeroDivisionError):
-        field8.pow(0, -1)
-
-
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_field_axioms_exhaustive_small(m):
     f = GF(m)
@@ -80,10 +60,9 @@ def test_field_axioms_exhaustive_small(m):
     for a in range(q):
         for b in range(q):
             assert f.mul(a, b) == f.mul(b, a)
-            assert f.add(a, b) == f.add(b, a)
             for c in range(q):
                 assert f.mul(a, f.mul(b, c)) == f.mul(f.mul(a, b), c)
-                assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
+                assert f.mul(a, b ^ c) == f.mul(a, b) ^ f.mul(a, c)
 
 
 @given(
@@ -94,7 +73,7 @@ def test_field_axioms_exhaustive_small(m):
 def test_field_axioms_sampled_gf256(a, b, c):
     f = GF(8)
     assert f.mul(a, f.mul(b, c)) == f.mul(f.mul(a, b), c)
-    assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
+    assert f.mul(a, b ^ c) == f.mul(a, b) ^ f.mul(a, c)
 
 
 def test_rejects_non_primitive_polynomial():
@@ -132,9 +111,10 @@ def test_poly_eval(field8):
     # Horner against naive power sum
     p = [3, 0, 7, 255]
     x = 0xB5
-    naive = 0
-    for i, c in enumerate(p):
-        naive ^= field8.mul(c, field8.pow(x, i))
+    naive, x_i = 0, 1
+    for c in p:
+        naive ^= field8.mul(c, x_i)
+        x_i = field8.mul(x_i, x)
     assert field8.poly_eval(p, x) == naive
 
 

@@ -143,6 +143,18 @@ def test_too_many_erasures_rejected(rs7):
         rs_decode(rs7, cw, erasures=[31])
 
 
+@pytest.mark.parametrize(
+    "erasures",
+    [[1.5], np.array([1.0]), [True], np.array([True, False]), ["1"], [-1], [[1], [2, 3]]],
+    ids=["float", "float-array", "bool", "bool-array", "str", "negative", "ragged"],
+)
+def test_erasure_positions_must_be_integers_in_range(rs7, erasures):
+    # A float, bool or string position is refused like an out-of-range one,
+    # not truncated, used as a mask or left to fail inside numpy indexing.
+    with pytest.raises(ValueError):
+        rs_decode(rs7, rs_encode(rs7, [0] * 25), erasures=erasures)
+
+
 @pytest.mark.parametrize("epsilon", EPSILONS)
 def test_round_trip_random_errors(field8, epsilon):
     p = RsParams(31, epsilon, field=field8)
@@ -200,13 +212,17 @@ def test_failure_keeps_input_and_corrected_is_valid(rs7):
 
 
 def test_syndromes_passed_in_match_computed(rs7):
+    # decode_batch takes the caller's syndromes for rows without erasures
+    # and recomputes them for rows with erasures.
     rng = SplitMix64(99)
     cw = rs_encode(rs7, [rng.below(256) for _ in range(25)])
-    rec = list(cw)
-    rec[4] ^= 0x3C
-    synd = rs7.syndromes(rec)
-    out = rs_decode(rs7, rec, syndromes=synd)
-    assert out.status is RsStatus.CORRECTED and out.word == cw
+    rec = np.array([cw, cw], dtype=np.uint8)
+    rec[:, 4] ^= 0x3C
+    erased = np.zeros(rec.shape, dtype=bool)
+    erased[1, 9] = True
+    synd = rs7.batch_syndromes(rec)
+    out, ok = decode_batch(rs7, rec, erased, synd)
+    assert ok.all() and (out == np.array(cw, dtype=np.uint8)).all()
 
 
 def test_batch_syndromes_match_scalar(rs7):

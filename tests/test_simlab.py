@@ -6,7 +6,6 @@ from pgcodes.prng import SplitMix64, substream
 from pgcodes.simlab import (
     TrialConfig,
     TrialSummary,
-    linearity_check,
     run_burst,
     run_interleaved,
     run_random,
@@ -139,8 +138,3 @@ def test_fifty_random_errors_resolve_in_one_iteration(spec5):
     s = run_random(TrialConfig(5, "random", 50, rounds=300, seed=1), spec5)
     assert s.failures_pct == 0.0
     assert s.avg_iterations <= 1.1
-
-
-def test_linearity_check(spec5):
-    assert linearity_check(spec5, weight=8, pairs=100, seed=2)
-    assert linearity_check(spec5, weight=40, pairs=10, seed=3)
