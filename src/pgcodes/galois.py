@@ -1,10 +1,9 @@
 """Arithmetic over GF(2^m) and polynomials with coefficients in the field.
 
 Field elements are plain ints in [0, 2^m - 1]: bit i is the coefficient of
-x^i in the polynomial basis, so addition is bitwise XOR. Polynomials over
-the field are lists of ints, lowest-degree coefficient first; the zero
-polynomial is the empty list. Matrices are uint8 arrays (m <= 8), reduced
-by GF.row_reduce.
+x^i in the polynomial basis, so addition is XOR. Polynomials over the field
+are lists of ints, lowest-degree coefficient first; the zero polynomial is
+the empty list.
 """
 
 from __future__ import annotations
@@ -174,9 +173,8 @@ class GF:
         return A, pivots
 
     # ------------------------------------------------------------------
-    # polynomial arithmetic (lowest-degree coefficient first). Nothing in the
-    # library calls it: the scalar oracles in tests/ do, and the benchmark's
-    # tracer (bench/run.py) counts calls of mul, poly_mul and poly_eval by name.
+    # polynomial arithmetic (lowest-degree coefficient first), for the oracles
+    # in tests/; bench/run.py counts calls of mul, poly_mul and poly_eval.
 
     def poly_mul(self, p: Sequence[int], q: Sequence[int]) -> list[int]:
         if not p or not q:

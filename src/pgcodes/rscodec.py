@@ -62,10 +62,9 @@ class RsOutcome:
 class RsParams:
     """Parameters and precomputed tables of one shortened RS code.
 
-    Immutable after construction, apart from the encoder's table, which the
-    first encode builds (a race builds it twice, with equal results);
-    decoding touches no shared mutable state, so any number of decodes may
-    run concurrently against one instance.
+    Immutable after construction except for the encoder's table, which the
+    first encode builds (racing encodes build equal tables); decoding touches
+    no shared mutable state, so decodes may run concurrently on one instance.
     """
 
     def __init__(self, n: int = 31, epsilon: int = 7, field: GF | None = None):

@@ -204,4 +204,3 @@ def run_interleaved(k: int, cfg: TrialConfig, spec: CodeSpec | None = None) -> T
         return range(start, start + cfg.weight)
 
     return _run(cfg, spec, k, burst)
-

@@ -233,7 +233,7 @@ def test_non_integer_erasure_labels_rejected(spec5, labels):
     "shape", [(3, 1953), (1953,), (2, 5), (1, 1953)], ids=["extra-row", "flat", "short", "one-row"]
 )
 def test_decode_words_rejects_erasure_mask_of_another_shape(spec5, shape):
-    # A mask with an extra row used to be cut silently; others failed in numpy.
+    # Every other shape is refused, an extra row that indexing would ignore too.
     words = np.zeros((2, spec5.n_symbols), dtype=np.uint8)
     with pytest.raises(ValueError, match="erasure mask"):
         decode_words(spec5, words, np.zeros(shape, dtype=bool))
