@@ -1,11 +1,13 @@
-"""Golden digests of the decoder, the Monte Carlo drivers and the parity matrix.
+"""Golden digests of the field tables, the decoder, the Monte Carlo drivers
+and the parity matrix.
 
 The digests were recorded from the implementation before the Monte Carlo
 drivers were merged into one loop and the erasure bookkeeping moved to a
 precomputed index; the generator and encode digests were recorded from the
-gather-formula encoder and row reduction, and the rs_encode digests from the
-shift-register encoder. Any change to them means the outputs for fixed seeds
-changed, which those refactors must not do.
+gather-formula encoder and row reduction, the rs_encode digests from the
+shift-register encoder, and the field-table digests from the numpy tables
+built lazily next to pure-Python log/antilog lists. Any change to them means
+the outputs for fixed seeds changed, which those refactors must not do.
 """
 
 import hashlib
@@ -16,6 +18,7 @@ import numpy as np
 import pytest
 
 from pgcodes.expcode import build_parity, encode, iterative_decode
+from pgcodes.galois import GF
 from pgcodes.prng import SplitMix64, substream
 from pgcodes.rscodec import RsParams, rs_encode
 from pgcodes.simlab import TrialConfig, run_burst, run_interleaved, run_random
@@ -32,6 +35,27 @@ def _report_payload(report) -> dict:
         "per_iteration": [asdict(r) for r in report.per_iteration],
         "final_word": report.final_word.tobytes().hex(),
     }
+
+
+# sha256 over the powers of alpha, then mul_table and inv_table as bytes, for
+# GF(2^m) under its default reduction polynomial.
+FIELD_DIGESTS = [
+    (2, "9366d3385568629f5c096687af0befa8467d7967e15eef28f20dc7d17abea9b8"),
+    (3, "f45d85c2de98c4f5912003c61dfe596ec15c5e31818fc11a2db69e51ba3aacff"),
+    (4, "070490e10d574bcd0c0523efce9803d35adaafe1497e0db66e7052eebbc449f1"),
+    (5, "7116aa47e952215141f25ea4d846058ecf6320cf19ecc65d7c7b90ea3cf800e0"),
+    (6, "6eaf75f4690c319d53cd137ef0a5f52faf0eb6e2bbf529e26b6ff4e61971b444"),
+    (7, "b4434f197205e2a30f3b6be3250b74b14351f4126a194943d97b783ff32bccfd"),
+    (8, "09974cdfa9d133899cb97926f7d59e73f095988e4a9d5efe912042c5b6c88b1e"),
+]
+
+
+@pytest.mark.parametrize("m, expected", FIELD_DIGESTS)
+def test_field_table_digest(m, expected):
+    f = GF(m)
+    powers = bytes(f.exp_alpha(i) for i in range(f.q - 1))
+    got = hashlib.sha256(powers + f.mul_table.tobytes() + f.inv_table.tobytes()).hexdigest()
+    assert got == expected
 
 
 # (driver, k, epsilon, weight, rounds, seed, digest); k is the interleaving
