@@ -19,10 +19,13 @@ import sys
 from dataclasses import asdict
 from fractions import Fraction
 
+import numpy as np
+
 from pgcodes import bounds as bounds_mod
 from pgcodes import expcode, simlab
 from pgcodes.prng import SplitMix64
 from pgcodes.projgeom import gaussian_coefficient, num_points
+from pgcodes.rscodec import integer_indices
 from pgcodes.tanner import build_graph
 
 
@@ -186,15 +189,16 @@ def _cmd_code(args: argparse.Namespace) -> int:
     spec = expcode.CodeSpec(args.epsilon)
     if args.subcommand == "build":
         G = spec.generator_matrix
+        H = expcode.build_parity(spec)
         rate = Fraction(spec.k_overall, spec.n_symbols)
         print(f"block length: {spec.n_symbols}")
-        print(f"parity rows: {spec.parity_matrix.shape[0]}")
+        print(f"parity rows: {H.shape[0]}")
         print(f"rank: {spec.rank}")
         print(f"dimension: {spec.k_overall}")
         print(f"rate: {float(rate):.4f}")
         if args.out_h:
             with open(args.out_h, "w", encoding="ascii") as fh:
-                expcode.write_matrix_hex(fh, spec.parity_matrix, spec.epsilon)
+                expcode.write_matrix_hex(fh, H, spec.epsilon)
             print(f"wrote parity matrix to {args.out_h}")
         if args.out_g:
             with open(args.out_g, "w", encoding="ascii") as fh:
@@ -210,30 +214,32 @@ def _cmd_code(args: argparse.Namespace) -> int:
                 out.write(expcode.word_to_hex(expcode.encode(spec, msg)) + "\n")
         print(f"encoded words written to {args.out}")
         return 0
-    erasures = _read_erasures(args.erasures)
+    # Every line and label is checked before the one decode_words call, so
+    # malformed input prints nothing.
     lines = _read_lines(args.infile)
-    out_fh = open(args.out, "w", encoding="ascii") if args.out else None
-    try:
-        for line in lines:
-            word = expcode.word_from_hex(line, spec.n_symbols)
-            report = expcode.iterative_decode(
-                spec, word, erasures=erasures, max_iterations=args.max_iterations
+    words = np.array(
+        [expcode.word_from_hex(line, spec.n_symbols) for line in lines], dtype=np.uint8
+    ).reshape(len(lines), spec.n_symbols)
+    erasures = _read_erasures(args.erasures)
+    labels = integer_indices(erasures, 1, spec.n_symbols, "erasure labels")
+    erased = np.zeros(words.shape, dtype=bool)
+    erased[:, labels - 1] = True
+    reports = expcode.decode_words(spec, words, erased, args.max_iterations)
+    for report in reports:
+        print(
+            json.dumps(
+                {
+                    "success": report.success,
+                    "iterations_used": report.iterations_used,
+                    "per_iteration": [asdict(r) for r in report.per_iteration],
+                    "final_word": expcode.word_to_hex(report.final_word),
+                }
             )
-            print(
-                json.dumps(
-                    {
-                        "success": report.success,
-                        "iterations_used": report.iterations_used,
-                        "per_iteration": [asdict(r) for r in report.per_iteration],
-                        "final_word": expcode.word_to_hex(report.final_word),
-                    }
-                )
-            )
-            if out_fh:
-                out_fh.write(expcode.word_to_hex(report.final_word) + "\n")
-    finally:
-        if out_fh:
-            out_fh.close()
+        )
+    if args.out:
+        with open(args.out, "w", encoding="ascii") as out:
+            for report in reports:
+                out.write(expcode.word_to_hex(report.final_word) + "\n")
     return 0
 
 

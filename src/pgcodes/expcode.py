@@ -24,7 +24,6 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from pgcodes.galois import GF
 from pgcodes.projgeom import Flat
 # Decoding here goes through decode_batch. rs_decode is imported only because
 # the benchmark's tracer (bench/run.py) wraps expcode.rs_decode by name.
@@ -73,30 +72,19 @@ class DecodeReport:
 
 
 class CodeSpec:
-    """Parameters and cached matrices of one overall code instance.
+    """Parameters and cached generator matrix of one overall code instance.
 
-    The Tanner graph and RS tables are built eagerly (cheap); the parity and
-    generator matrices are built on first use (the generator costs one
-    Gaussian elimination over GF(256)). Instances are safe to share between
-    threads once the lazy matrices have been materialized.
+    The Tanner graph and RS tables are built eagerly (cheap); the generator
+    matrix is built on first use (one Gaussian elimination over GF(256)),
+    and build_parity builds H. Instances are safe to share between threads
+    once the generator has been materialized.
     """
 
-    def __init__(
-        self,
-        epsilon: int,
-        d: int = 5,
-        max_iterations: int = 4,
-        field: GF | None = None,
-    ):
-        if max_iterations < 1:
-            raise ValueError(f"need at least one iteration, got {max_iterations}")
-        self.field = field if field is not None else GF(8)
+    def __init__(self, epsilon: int, d: int = 5):
         self.graph: TannerGraph = build_graph(d)
-        self.rs = RsParams(n=self.graph.degree, epsilon=epsilon, field=self.field)
-        if self.rs.n != self.graph.degree:
-            raise ValueError("component block length must equal the graph degree")
+        self.rs = RsParams(n=self.graph.degree, epsilon=epsilon)
+        self.field = self.rs.field
         self.n_symbols = self.graph.n_edges
-        self.max_iterations = max_iterations
 
     def __repr__(self) -> str:
         return (
@@ -107,10 +95,6 @@ class CodeSpec:
     @property
     def epsilon(self) -> int:
         return self.rs.epsilon
-
-    @cached_property
-    def parity_matrix(self) -> np.ndarray:
-        return build_parity(self)
 
     @cached_property
     def generator_matrix(self) -> np.ndarray:
@@ -152,9 +136,7 @@ def derive_generator(spec: CodeSpec) -> np.ndarray:
 
     For each non-pivot column f the generator gets a row with 1 at f and the
     RRE entries of column f at the pivot columns; rows are independent by the
-    unit coordinates and orthogonal to H by construction. H is built afresh,
-    not taken from the spec's cache: decoding never reads it, and it would
-    stay resident next to G.
+    unit coordinates and orthogonal to H by construction.
     """
     H = build_parity(spec)
     rre, pivots = spec.field.row_reduce(H)
@@ -196,7 +178,7 @@ def component_syndromes(spec: CodeSpec, word: np.ndarray, side: str) -> np.ndarr
     """Syndromes of one side's components: (..., N) -> (..., 63, 2t)."""
     comp = side_words(spec, word, side)
     synd = spec.rs.batch_syndromes(comp.reshape(-1, comp.shape[-1]))
-    return synd.reshape(*comp.shape[:-1], -1)
+    return synd.reshape(*comp.shape[:-1], spec.rs.two_t)
 
 
 def all_components_valid(spec: CodeSpec, word: np.ndarray) -> bool:
@@ -211,7 +193,7 @@ def iterative_decode(
     spec: CodeSpec,
     received: Sequence[int] | np.ndarray,
     erasures: Iterable[int] = (),
-    max_iterations: int | None = None,
+    max_iterations: int = 4,
 ) -> DecodeReport:
     """Alternating per-vertex decoding with skip-on-failure.
 
@@ -239,7 +221,7 @@ def decode_words(
     spec: CodeSpec,
     words: np.ndarray,
     erased: np.ndarray | None = None,
-    max_iterations: int | None = None,
+    max_iterations: int = 4,
 ) -> list[DecodeReport]:
     """iterative_decode of R words in lockstep, one report per word.
 
@@ -249,9 +231,8 @@ def decode_words(
     and a word stops at the iteration where both of its sides are clean, so
     every report equals that of iterative_decode on the word alone.
     """
-    limit = spec.max_iterations if max_iterations is None else max_iterations
-    if limit < 1:
-        raise ValueError(f"need at least one iteration, got {limit}")
+    if max_iterations < 1:
+        raise ValueError(f"need at least one iteration, got {max_iterations}")
     word = spec.field.symbols(words, "received word")
     if word.ndim != 2 or word.shape[1] != spec.n_symbols:
         raise ValueError(f"received words must have {spec.n_symbols} symbols each")
@@ -261,11 +242,11 @@ def decode_words(
     pending = np.zeros(word.shape, dtype=bool) if erased is None else erased.astype(bool)
     reports: list[list[SideReport]] = [[] for _ in range(n_words)]
     success = np.zeros(n_words, dtype=bool)
-    iterations_used = np.full(n_words, limit)
+    iterations_used = np.full(n_words, max_iterations)
     live = np.arange(n_words)
     point_synd = None
 
-    for iteration in range(1, limit + 1):
+    for iteration in range(1, max_iterations + 1):
         p_fail, p_changed, _ = _side_pass(spec, word, pending, live, POINT_SIDE, point_synd)
         h_fail, h_changed, hpl_synd = _side_pass(spec, word, pending, live, HYPERPLANE_SIDE)
         for i, w in enumerate(live.tolist()):

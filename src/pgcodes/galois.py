@@ -27,24 +27,22 @@ DEFAULT_REDUCTION_POLY = {
 
 
 class GF:
-    """GF(2^m) with log/antilog multiplication tables, generated by alpha = 2.
+    """GF(2^m) for m <= 8, with numpy lookup tables, generated by alpha = 2.
 
-    Tables are built once by repeated doubling under the reduction polynomial
-    and validated at construction: the powers of alpha must enumerate every
-    nonzero element exactly once. Instances are immutable after construction
-    and safe for unrestricted concurrent reads.
+    The powers of alpha are built once by repeated doubling under the
+    reduction polynomial and validated: they must enumerate every nonzero
+    element exactly once. From them __init__ builds every table as a numpy
+    array: exp (alpha^i for i < q - 1), log, the dense (q, q) mul_table and
+    inv_table (with inv_table[0] = 0, so that masked zero entries can be
+    looked up too). Symbols are bytes, so m > 8 is rejected. Instances are
+    immutable after construction and safe for unrestricted concurrent reads.
     """
 
     def __init__(self, m: int = 8, reduction_poly: int | None = None):
-        if m < 2:
-            raise ValueError(f"field degree must be >= 2, got {m}")
+        if not 2 <= m <= 8:
+            raise ValueError(f"field degree must be in [2, 8], got {m}")
         if reduction_poly is None:
-            try:
-                reduction_poly = DEFAULT_REDUCTION_POLY[m]
-            except KeyError:
-                raise ValueError(
-                    f"no built-in reduction polynomial for m={m}; pass one explicitly"
-                ) from None
+            reduction_poly = DEFAULT_REDUCTION_POLY[m]
         if reduction_poly >> m != 1:
             raise ValueError(
                 f"reduction polynomial 0x{reduction_poly:X} does not have degree {m}"
@@ -53,27 +51,26 @@ class GF:
         self.q = 1 << m
         self.order = self.q - 1
         self.reduction_poly = reduction_poly
-        self.alpha = 2
 
-        exp = [0] * (2 * self.order)
-        log = [0] * self.q
+        powers = []
         x = 1
-        for i in range(self.order):
-            exp[i] = x
-            log[x] = i
+        for _ in range(self.order):
+            powers.append(x)
             x <<= 1
             if x & self.q:
                 x ^= reduction_poly
-        if x != 1 or sorted(exp[: self.order]) != list(range(1, self.q)):
+        if x != 1 or sorted(powers) != list(range(1, self.q)):
             raise ValueError(
                 f"alpha=2 is not primitive for reduction polynomial 0x{reduction_poly:X}"
             )
-        # Doubled antilog table avoids a modulo in the mul() hot path.
-        exp[self.order :] = exp[: self.order]
-        self._exp = exp
-        self._log = log
-        self._mul_table: np.ndarray | None = None
-        self._inv_table: np.ndarray | None = None
+        exp = np.array(powers, dtype=np.uint8)
+        log = np.zeros(self.q, dtype=np.int64)
+        log[exp] = np.arange(self.order)
+        mul_table = np.zeros((self.q, self.q), dtype=np.uint8)
+        mul_table[1:, 1:] = exp[(log[1:, None] + log[None, 1:]) % self.order]
+        inv_table = exp[-log % self.order]
+        inv_table[0] = 0
+        self.exp, self.log, self.mul_table, self.inv_table = exp, log, mul_table, inv_table
 
     def __repr__(self) -> str:
         return f"GF(2^{self.m}, poly=0x{self.reduction_poly:X})"
@@ -82,51 +79,19 @@ class GF:
     # element arithmetic
 
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return self._exp[self._log[a] + self._log[b]]
+        return self.mul_table.item(a, b)
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("zero has no multiplicative inverse")
-        return self._exp[self.order - self._log[a]]
+        return self.inv_table.item(a)
 
     def exp_alpha(self, i: int) -> int:
         """alpha**i for any integer i."""
-        return self._exp[i % self.order]
-
-    @property
-    def mul_table(self) -> np.ndarray:
-        """Dense (q, q) product lookup table for vectorized row operations.
-
-        Only materialized for m <= 8 (64 KiB at m=8); larger fields should use
-        the scalar routines.
-        """
-        if self._mul_table is None:
-            self._build_tables()
-        return self._mul_table
-
-    @property
-    def inv_table(self) -> np.ndarray:
-        """(q,) inverse lookup table, with inv_table[0] = 0 so that masked
-        zero entries can be looked up too. Same m <= 8 limit as mul_table."""
-        if self._inv_table is None:
-            self._build_tables()
-        return self._inv_table
-
-    def _build_tables(self) -> None:
-        if self.q > 256:
-            raise ValueError("dense multiplication table limited to m <= 8")
-        logs = np.array(self._log, dtype=np.int64)
-        exps = np.array(self._exp[: self.order], dtype=np.uint8)
-        table = np.zeros((self.q, self.q), dtype=np.uint8)
-        table[1:, 1:] = exps[(logs[1:, None] + logs[None, 1:]) % self.order]
-        inv = exps[-logs % self.order]
-        inv[0] = 0
-        self._mul_table, self._inv_table = table, inv
+        return self.exp.item(i % self.order)
 
     def symbols(self, values: Sequence[int] | np.ndarray, what: str) -> np.ndarray:
-        """values as a new uint8 array (m <= 8); ValueError unless every entry
+        """values as a new uint8 array; ValueError unless every entry
         is an integer in [0, q). Floats and bools are rejected, not truncated."""
         arr = np.asarray(values)
         if arr.size and (
@@ -136,7 +101,7 @@ class GF:
         return arr.astype(np.uint8)
 
     # ------------------------------------------------------------------
-    # linear algebra (m <= 8)
+    # linear algebra
 
     def row_reduce(self, M: np.ndarray) -> tuple[np.ndarray, list[int]]:
         """Reduced row echelon form over GF(2^m), row updates by bit planes.
@@ -179,14 +144,12 @@ class GF:
     def poly_mul(self, p: Sequence[int], q: Sequence[int]) -> list[int]:
         if not p or not q:
             return []
+        mt = self.mul_table
         out = [0] * (len(p) + len(q) - 1)
         for i, a in enumerate(p):
-            if a == 0:
-                continue
-            la = self._log[a]
+            row = mt[a]
             for j, b in enumerate(q):
-                if b:
-                    out[i + j] ^= self._exp[la + self._log[b]]
+                out[i + j] ^= row.item(b)
         return out
 
     def poly_eval(self, p: Sequence[int], x: int) -> int:

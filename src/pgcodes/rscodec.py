@@ -82,14 +82,13 @@ class RsParams:
         self.t = epsilon // 2
         self.two_t = epsilon - 1
 
-        f = self.field
-        exp = np.array(f._exp[: f.order], dtype=np.uint8)
+        exp, order = self.field.exp, self.field.order
         j = np.arange(n)
         # power_matrix[i-1, j] = alpha^(i*j): the syndrome functionals.
-        self._power_matrix = exp[np.arange(1, self.two_t + 1)[:, None] * j % f.order]
+        self._power_matrix = exp[np.arange(1, self.two_t + 1)[:, None] * j % order]
         # chien_matrix[j, t] = alpha^(-j*t): evaluation at alpha^(-j), the
         # inverse locator of position j.
-        self._chien_matrix = exp[-j[:, None] * np.arange(self.two_t + 1) % f.order]
+        self._chien_matrix = exp[-j[:, None] * np.arange(self.two_t + 1) % order]
 
     def __repr__(self) -> str:
         return f"RsParams(n={self.n}, k={self.k}, epsilon={self.epsilon})"

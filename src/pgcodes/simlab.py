@@ -101,7 +101,7 @@ def _spec_for(cfg: TrialConfig, spec: CodeSpec | None, model: str) -> CodeSpec:
     if cfg.error_model != model:
         raise ValueError(f"this driver needs a {model}-model config, got {cfg.error_model!r}")
     if spec is None:
-        return CodeSpec(cfg.epsilon, max_iterations=cfg.max_iterations)
+        return CodeSpec(cfg.epsilon)
     if spec.epsilon != cfg.epsilon:
         raise ValueError(
             f"spec has epsilon={spec.epsilon}, config wants {cfg.epsilon}"

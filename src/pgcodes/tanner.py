@@ -98,6 +98,8 @@ class TannerGraph:
 
     def label_of_pair(self, p: int, h: int) -> int:
         """Label of the edge joining point p and hyperplane h."""
+        if not (1 <= p <= self.n_side and 1 <= h <= self.n_side):
+            raise ValueError(f"vertex ids must be in [1, {self.n_side}], got ({p}, {h})")
         k = int(self._rank[p - 1, h - 1])
         if k < 0:
             raise ValueError(f"point {p} and hyperplane {h} are not incident")

@@ -22,19 +22,19 @@ def graph5(space5):
 
 
 @pytest.fixture(scope="session")
-def spec5(field8):
-    return CodeSpec(5, field=field8)
+def spec5():
+    return CodeSpec(5)
 
 
 @pytest.fixture(scope="session")
-def spec7(field8):
-    return CodeSpec(7, field=field8)
+def spec7():
+    return CodeSpec(7)
 
 
 @pytest.fixture(scope="session")
-def specs(field8, spec5, spec7):
+def specs(spec5, spec7):
     """One CodeSpec per odd epsilon from 3 to 15, keyed by epsilon."""
     out = {5: spec5, 7: spec7}
     for eps in (3, 9, 11, 13, 15):
-        out[eps] = CodeSpec(eps, field=field8)
+        out[eps] = CodeSpec(eps)
     return out

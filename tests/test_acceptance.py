@@ -238,9 +238,9 @@ def test_criterion_04_capability_table():
     _criterion(4, "capability table", ok and elapsed < 1.0, f"{elapsed:.2f}s")
 
 
-def test_criterion_05_code_dimension(field8):
+def test_criterion_05_code_dimension():
     t0 = time.time()
-    spec = CodeSpec(7, field=field8)  # fresh build, not the shared fixture
+    spec = CodeSpec(7)  # fresh build, not the shared fixture
     spec.generator_matrix
     ok = spec.rank == 756 and spec.k_overall == 1197
     elapsed = time.time() - t0

@@ -209,6 +209,25 @@ def test_code_decode_with_erasure_file(tmp_path, capsys):
     assert report["final_word"] == ex.word_to_hex(cw)
 
 
+def test_code_decode_empty_input_prints_nothing(tmp_path, capsys):
+    rx = tmp_path / "rx.hex"
+    rx.write_text("\n")
+    out_file = tmp_path / "out.hex"
+    argv = ["code", "decode", "--epsilon", "3", "--in", str(rx), "--out", str(out_file)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == ""
+    assert out_file.read_text() == ""
+
+
+def test_code_decode_malformed_line_prints_nothing(tmp_path, capsys):
+    good = expcode.word_to_hex(np.zeros(1953, dtype=np.uint8))
+    rx = tmp_path / "rx.hex"
+    rx.write_text(good + "\n" + good[:-2] + "\n")
+    assert main(["code", "decode", "--epsilon", "3", "--in", str(rx)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+
+
 def test_rs_encode_decode_round_trip(tmp_path, capsys):
     rng = np.random.default_rng(7)
     msg = rng.integers(0, 256, size=25, dtype=np.uint8)

@@ -86,6 +86,12 @@ def test_rejects_non_primitive_polynomial():
         GF(9)  # no built-in polynomial
 
 
+def test_rejects_fields_wider_than_a_byte():
+    # x^9 + x^4 + 1 is primitive, but symbols are bytes.
+    with pytest.raises(ValueError, match="field degree"):
+        GF(9, reduction_poly=0x211)
+
+
 def test_mul_table_matches_scalar(field8):
     t = field8.mul_table
     assert t.shape == (256, 256)

@@ -56,7 +56,7 @@ def test_decoder_follows_model_pass_by_pass(spec5, spec7, epsilon, weight, seed,
     for rnd in range(100):
         support, word = _draw(seed, rnd, weight, burst)
         report = iterative_decode(spec, word)
-        run = model_decode(spec.graph, (epsilon - 1) // 2, support, spec.max_iterations)
+        run = model_decode(spec.graph, (epsilon - 1) // 2, support, 4)
         counts[_classify(report, run)] += 1
     print(f"e{epsilon} w{weight} {'burst' if burst else 'random'}: {counts}")
     assert counts["other"] == 0

@@ -58,6 +58,13 @@ def test_label_range_errors(graph5):
         graph5.label_of_pair(1, 1)  # not incident
 
 
+@pytest.mark.parametrize("p, h", [(0, 3), (5, 0), (0, 0), (-1, 2), (64, 1), (1, 64)])
+def test_label_of_pair_rejects_ids_out_of_range(graph5, p, h):
+    # Ids below 1 would wrap round to the last vertex instead of failing.
+    with pytest.raises(ValueError, match="vertex ids"):
+        graph5.label_of_pair(p, h)
+
+
 def test_edge_index_consistency(graph5):
     # the hyperplane-side view of an edge lands on the same symbol slot
     for label in (1, 77, 500, 1953):
