@@ -62,6 +62,12 @@ class RsOutcome:
 class RsParams:
     """Parameters and precomputed tables of one shortened RS code.
 
+    Syndromes and the Chien search are GF(2)-linear in their inputs, so each
+    is an XOR of per-symbol table rows, packed 8 bytes to a uint64 word:
+    _syndrome_table[j, v] holds the 2t bytes v * alpha^(i*j), and
+    _chien_table[t, v] the n bytes v * alpha^(-j*t), each zero-padded to
+    whole words.
+
     Immutable after construction except for the encoder's table, which the
     first encode builds (racing encodes build equal tables); decoding touches
     no shared mutable state, so decodes may run concurrently on one instance.
@@ -89,6 +95,10 @@ class RsParams:
         # chien_matrix[j, t] = alpha^(-j*t): evaluation at alpha^(-j), the
         # inverse locator of position j.
         self._chien_matrix = exp[-j[:, None] * np.arange(self.two_t + 1) % order]
+        # mul_table is symmetric, so mul_table[c] is the row of products c * v.
+        mt = self.field.mul_table
+        self._syndrome_table = _packed(mt[self._power_matrix].transpose(1, 2, 0))
+        self._chien_table = _packed(mt[self._chien_matrix].transpose(1, 2, 0))
 
     def __repr__(self) -> str:
         return f"RsParams(n={self.n}, k={self.k}, epsilon={self.epsilon})"
@@ -110,15 +120,20 @@ class RsParams:
 
     def batch_syndromes(self, words: np.ndarray) -> np.ndarray:
         """Syndromes of many words at once: (v, n) uint8 -> (v, 2t) uint8."""
-        mt = self.field.mul_table
-        prod = mt[self._power_matrix[None, :, :], words[:, None, :]]
-        return np.bitwise_xor.reduce(prod, axis=2)
+        rows = self._syndrome_table[np.arange(self.n), words]
+        return np.bitwise_xor.reduce(rows, axis=1).view(np.uint8)[:, : self.two_t]
 
     def locator_roots(self, locators: np.ndarray) -> np.ndarray:
         """Chien search: (B, 2t+1) locators -> (B, n) mask of locator(alpha^(-j)) = 0."""
-        mt = self.field.mul_table
-        vals = mt[self._chien_matrix[None, :, :], locators[:, None, :]]
-        return np.bitwise_xor.reduce(vals, axis=2) == 0
+        rows = self._chien_table[np.arange(self.two_t + 1), locators]
+        return np.bitwise_xor.reduce(rows, axis=1).view(np.uint8)[:, : self.n] == 0
+
+
+def _packed(rows: np.ndarray) -> np.ndarray:
+    """(..., L) uint8 -> (..., ceil(L/8)) uint64 holding the same bytes, zero-padded."""
+    buf = np.zeros(rows.shape[:-1] + (-(-rows.shape[-1] // 8) * 8,), dtype=np.uint8)
+    buf[..., : rows.shape[-1]] = rows
+    return buf.view(np.uint64)
 
 
 def rs_encode(params: RsParams, message: Sequence[int]) -> list[int]:

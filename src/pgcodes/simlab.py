@@ -33,11 +33,12 @@ from pgcodes.prng import SplitMix64, substream
 
 RANDOM_MODEL = "random"
 BURST_MODEL = "burst"
-# Codewords decoded in lockstep per decode_words call. At epsilon=7, w=250
-# a word takes about 4.5 ms alone, 2.5 ms in blocks of 4 and 2.0 ms in
-# blocks of 16, with no further gain at 32 or 64; the block's peak memory
-# grows by about 50 KB per word.
-_LOCKSTEP_WORDS = 16
+# Codewords decoded in lockstep per decode_words call. At epsilon=7, w=250,
+# round generation included (2 vCPUs, numpy 2.4), a word takes about 3.6 ms
+# alone, 2.1 ms in blocks of 4, 1.48 ms in blocks of 16, 1.25 ms in blocks
+# of 32 and 1.22 ms in blocks of 64; the block's peak memory grows by about
+# 60 KB per word, so 32 keeps most of the gain at half the memory of 64.
+_LOCKSTEP_WORDS = 32
 
 
 @dataclass(frozen=True)
@@ -170,8 +171,9 @@ def _round_words(
     for rnd in range(cfg.rounds):
         rng = substream(cfg.seed, rnd)
         stream = np.zeros(k * n, dtype=np.uint8)
-        for s in positions(rng, k * n):
-            stream[s] = rng.nonzero_symbol(q)
+        hit = np.fromiter(positions(rng, k * n), dtype=np.intp)
+        # One nonzero_symbol(q) per position, drawn in one call.
+        stream[hit] = 1 + rng.below_each(np.full(hit.size, q - 1))
         # Stream symbol s belongs to codeword s % k at position s // k.
         for word in stream.reshape(n, k).T:
             yield rnd, word

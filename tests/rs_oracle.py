@@ -5,11 +5,17 @@ to one lockstep numpy kernel (pgcodes.rscodec.decode_batch): one word at a
 time, Massey's LFSR synthesis on Python lists, a Chien search over all
 parent-code positions and a per-root Forney loop. test_rscodec checks the
 kernel against it row by row.
+
+batch_syndromes and locator_roots are the kernel's syndromes and Chien
+search as it computed them before both read packed uint64 tables: one
+mul_table gather of every (row, coefficient, position) product.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from pgcodes.galois import GF
 from pgcodes.rscodec import RsOutcome, RsParams, RsStatus
@@ -26,6 +32,20 @@ def syndromes(params: RsParams, word: Sequence[int]) -> list[int]:
             acc ^= f.mul(c, f.exp_alpha(i * j))
         out.append(acc)
     return out
+
+
+def batch_syndromes(params: RsParams, words: np.ndarray) -> np.ndarray:
+    """(B, n) uint8 words -> (B, 2t) syndromes, by one (B, 2t, n) gather."""
+    mt = params.field.mul_table
+    prod = mt[params._power_matrix[None, :, :], words[:, None, :]]
+    return np.bitwise_xor.reduce(prod, axis=2)
+
+
+def locator_roots(params: RsParams, locators: np.ndarray) -> np.ndarray:
+    """(B, 2t+1) locators -> (B, n) mask of roots at alpha^(-j), by one (B, n, 2t+1) gather."""
+    mt = params.field.mul_table
+    vals = mt[params._chien_matrix[None, :, :], locators[:, None, :]]
+    return np.bitwise_xor.reduce(vals, axis=2) == 0
 
 
 def rs_decode(

@@ -1,8 +1,11 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import rs_oracle
+from pgcodes.galois import GF
 from pgcodes.prng import SplitMix64
 from pgcodes.rscodec import RsParams, RsStatus, decode_batch, rs_decode, rs_encode
 from poly_oracle import generator_poly, poly_divmod
@@ -234,6 +237,90 @@ def test_batch_syndromes_match_scalar(rs7):
     for i in range(8):
         assert batch[i].tolist() == rs_oracle.syndromes(rs7, words[i].tolist())
         assert rs7.syndromes(words[i].tolist()) == batch[i].tolist()
+
+
+# (n, epsilon, m) of the codes whose packed tables are checked: every design
+# distance at n = 31, where 2t fills one uint64 word (epsilon <= 9) or two;
+# the GF(2^3) code of test_tracer_contract; the full-length code with 2t = 16.
+PACKED_CODES = [(31, e, 8) for e in EPSILONS] + [(7, 3, 3), (255, 17, 8)]
+
+
+@functools.cache
+def _packed_code(n, epsilon, m):
+    return RsParams(n, epsilon, field=GF(m))
+
+
+def _symbol_rows(p, kind, rows, cols, seed=0):
+    if kind == "zero":
+        return np.zeros((rows, cols), dtype=np.uint8)
+    if kind == "full":
+        return np.full((rows, cols), p.field.q - 1, dtype=np.uint8)
+    return np.random.default_rng(seed).integers(0, p.field.q, (rows, cols), dtype=np.uint8)
+
+
+def _assert_packed_match_oracle(p, words, locators):
+    synd = p.batch_syndromes(words)
+    assert synd.dtype == np.uint8 and synd.shape == (words.shape[0], p.two_t)
+    assert np.array_equal(synd, rs_oracle.batch_syndromes(p, words))
+    roots = p.locator_roots(locators)
+    assert roots.dtype == bool and roots.shape == (locators.shape[0], p.n)
+    assert np.array_equal(roots, rs_oracle.locator_roots(p, locators))
+
+
+@pytest.mark.parametrize("code", PACKED_CODES, ids="n{0[0]}-e{0[1]}-m{0[2]}".format)
+def test_packed_tables_match_gather_oracle(code):
+    # Syndromes and Chien search from the packed tables equal the gather
+    # formulas on 0, 1 and 1000 rows of all-zero, all-(q-1) and random symbols.
+    p = _packed_code(*code)
+    for rows in (0, 1, 1000):
+        for kind in ("zero", "full", "random"):
+            _assert_packed_match_oracle(
+                p,
+                _symbol_rows(p, kind, rows, p.n, seed=rows),
+                _symbol_rows(p, kind, rows, p.two_t + 1, seed=rows + 1),
+            )
+
+
+@pytest.mark.parametrize(
+    "code", [c for c in PACKED_CODES if c[0] < 255], ids="n{0[0]}-e{0[1]}-m{0[2]}".format
+)
+def test_chien_table_finds_every_two_term_root(code):
+    # v x^t + v alpha^(-j t) has a root at alpha^(-j). Over every t >= 1,
+    # nonzero v and position j, each Chien table entry outside the v = 0
+    # rows (which all-zero locators check) decides one of these roots.
+    p = _packed_code(*code)
+    f = p.field
+    v, j = (a.ravel() for a in np.meshgrid(np.arange(1, f.q), np.arange(p.n), indexing="ij"))
+    for t in range(1, p.two_t + 1):
+        locators = np.zeros((v.size, p.two_t + 1), dtype=np.uint8)
+        locators[:, t] = v
+        locators[:, 0] = f.mul_table[v, f.exp[-j * t % f.order]]
+        roots = p.locator_roots(locators)
+        assert roots[np.arange(v.size), j].all()
+        assert np.array_equal(roots, rs_oracle.locator_roots(p, locators))
+
+
+@settings(deadline=None, max_examples=150)
+@given(data=st.data())
+def test_packed_tables_match_gather_oracle_hypothesis(data):
+    p = _packed_code(*data.draw(st.sampled_from(PACKED_CODES)))
+    symbol = st.integers(0, p.field.q - 1)
+    rows = data.draw(st.integers(0, 6))
+    words = data.draw(
+        st.lists(st.lists(symbol, min_size=p.n, max_size=p.n), min_size=rows, max_size=rows)
+    )
+    locators = data.draw(
+        st.lists(
+            st.lists(symbol, min_size=p.two_t + 1, max_size=p.two_t + 1),
+            min_size=rows,
+            max_size=rows,
+        )
+    )
+    _assert_packed_match_oracle(
+        p,
+        np.array(words, dtype=np.uint8).reshape(rows, p.n),
+        np.array(locators, dtype=np.uint8).reshape(rows, p.two_t + 1),
+    )
 
 
 def test_dvd_style_parent_code(field8):
